@@ -187,6 +187,25 @@ def _seed_earliest_starts_multi(
         j += 1
 
 
+def _seed_earliest_completion(
+    self, earliest, durations, tie_break="fewest", *, probed=None
+) -> tuple[float, int]:
+    """The seed's per-task decision: every count's start, then argmin."""
+    d = np.asarray(durations, dtype=float)
+    starts = _seed_earliest_starts_multi(self, earliest, d)
+    completions = starts + d
+    if tie_break == "fewest":
+        j = int(np.argmin(completions))
+    else:
+        j = int(completions.size - 1 - np.argmin(completions[::-1]))
+    if probed is not None:
+        probed.extend(
+            (k + 1, float(starts[k]), float(completions[k]), True)
+            for k in range(d.size)
+        )
+    return float(starts[j]), j + 1
+
+
 @contextmanager
 def seed_baseline() -> Iterator[None]:
     """Run the enclosed code against the seed commit's hot paths.
@@ -209,6 +228,7 @@ def seed_baseline() -> Iterator[None]:
         ResourceCalendar.earliest_start,
         ResourceCalendar.latest_start,
         ResourceCalendar.earliest_starts_multi,
+        ResourceCalendar.earliest_completion,
     )
     _calmod.INCREMENTAL_COMMITS = False
     _calmod.VALIDATE_COMMITS = True
@@ -221,6 +241,7 @@ def seed_baseline() -> Iterator[None]:
     ResourceCalendar.earliest_start = _seed_earliest_start
     ResourceCalendar.latest_start = _seed_latest_start
     ResourceCalendar.earliest_starts_multi = _seed_earliest_starts_multi
+    ResourceCalendar.earliest_completion = _seed_earliest_completion
     try:
         yield
     finally:
@@ -237,6 +258,7 @@ def seed_baseline() -> Iterator[None]:
             ResourceCalendar.earliest_start,
             ResourceCalendar.latest_start,
             ResourceCalendar.earliest_starts_multi,
+            ResourceCalendar.earliest_completion,
         ) = saved_methods
 
 
@@ -588,12 +610,13 @@ def bench_streamed_throughput(
     applications at a sustainable arrival rate.  Baseline: per request,
     rebuild the scenario with everything booked so far and run the batch
     ``schedule_ressched`` — the only way to express a stream with the
-    one-shot API (O(R) scenario rebuild plus full-suffix placement scans
-    per request).  Current path: one ``StreamScheduler`` admitting every
-    request against a single generation-tagged calendar via
+    one-shot API (an O(R log R) scenario rebuild per request).  Current
+    path: one ``StreamScheduler`` admitting every request against a
+    single generation-tagged calendar via
     ``schedule_ressched_incremental`` — O(1)-amortized ready-queue
-    events, batched windowed placement probes, and memoized plans.
-    Placements are asserted bitwise-identical before timing.
+    events and memoized plans.  Both place tasks with the same
+    earliest-completion kernel.  Placements are asserted
+    bitwise-identical before timing.
     """
     from repro.experiments.stream import (
         StreamRequest,
@@ -792,11 +815,10 @@ def bench_sharded_throughput(
     The regime where sharding pays: a *dense* advance-reservation
     calendar (``n_res`` competing bookings → hundreds of thousands of
     profile segments) receiving wide fork-join sweeps.  Unsharded,
-    every commit splices the full O(S)-segment profile and invalidates
-    the whole platform's probe memos; sharded, a commit splices one
-    shard's O(S/K) profile and the facade's generation-tagged probe
-    cache re-issues only that shard's leg on the next probe — the other
-    K - 1 legs of every retained probe stay provably current.
+    every commit splices the full O(S)-segment profile; sharded, a
+    commit splices one shard's O(S/K) profile, and each placement probe
+    runs one earliest-completion leg per shard, every leg after the
+    first bounded by the best answer so far.
 
     Both pristine calendars are built once (the K-shard water-filled
     partition is expensive and untimed); every timed run adopts a fresh

@@ -2,6 +2,6 @@
 
 from repro.calendar.reservation import Reservation
 from repro.calendar.timeline import StepFunction
-from repro.calendar.calendar import ResourceCalendar
+from repro.calendar.calendar import ProbedCount, ResourceCalendar
 
-__all__ = ["Reservation", "StepFunction", "ResourceCalendar"]
+__all__ = ["ProbedCount", "Reservation", "StepFunction", "ResourceCalendar"]

@@ -1,12 +1,15 @@
 """The resource calendar: capacity, reservations, and placement queries.
 
 A :class:`ResourceCalendar` models one homogeneous cluster of ``capacity``
-processors subject to a set of advance reservations.  It answers the three
+processors subject to a set of advance reservations.  It answers the
 questions every scheduler in this library asks:
 
 * :meth:`earliest_start` — first instant at or after ``earliest`` where
   ``nprocs`` processors are simultaneously free for ``duration`` (forward
   RESSCHED scheduling);
+* :meth:`earliest_completion` — the ``(start, nprocs)`` pair completing
+  earliest for a moldable task (RESSCHED's per-task decision), resolving
+  only the processor counts that can still win;
 * :meth:`latest_start` — last instant such that the window still finishes
   by ``latest_finish`` (backward RESSCHEDDL scheduling);
 * :meth:`average_available` — time-weighted mean availability over an
@@ -79,12 +82,46 @@ BATCH_WINDOW_SEGMENTS: int = 64
 #: cache (calendars are short-lived, so simple beats clever here).
 _MULTI_CACHE_CAP: int = 1024
 
+#: Segments the earliest-completion walk (:meth:`ResourceCalendar.
+#: earliest_completion`) copies into Python lists and walks per call.  A
+#: count still unresolved at the window's end rescans with NumPy over
+#: 8x larger windows, so the constant only tunes constant factors —
+#: results are bitwise-independent of it.
+_WALK_WINDOW: int = 32
+
+#: One probed processor count of :meth:`ResourceCalendar.earliest_completion`:
+#: ``(m, start, finish, exact)``.  Exact entries carry the count's true
+#: earliest start and completion; pruned ones (``exact`` False) carry a
+#: lower bound on each, which already ruled the count out.
+ProbedCount = tuple[int, float, float, bool]
+
 #: Debug flag: when True, :meth:`reserve_known_feasible` behaves exactly
 #: like :meth:`reserve` (full strict validation of every commit).
 VALIDATE_COMMITS: bool = os.environ.get("REPRO_VALIDATE_COMMITS", "") not in (
     "",
     "0",
 )
+
+
+#: An earliest-completion request sorted for the kernel:
+#: ``(order, lower, durations)`` — count indices by ascending lower-bound
+#: completion, then each index's bound and duration as Python floats.
+CompletionOrder = tuple[list[int], list[float], list[float]]
+
+
+def completion_order(
+    earliest: float, durations: np.ndarray, fewest: bool
+) -> CompletionOrder:
+    """Sort an earliest-completion request by lower-bound completion
+    ``earliest + durations[j]``; equal bounds come in tie-break order,
+    so the count that would win an exact completion tie is tried
+    first."""
+    lower = earliest + durations
+    if fewest:
+        order = lower.argsort(kind="stable")
+    else:
+        order = durations.size - 1 - lower[::-1].argsort(kind="stable")
+    return order.tolist(), lower.tolist(), durations.tolist()
 
 
 class ResourceCalendar:
@@ -295,10 +332,15 @@ class ResourceCalendar:
         return r
 
     def copy(self) -> "ResourceCalendar":
-        """Independent copy (used for tentative scheduling)."""
-        dup = ResourceCalendar(
-            self._capacity, clamp=self._clamp, incremental=self._incremental
-        )
+        """Independent copy (used for tentative scheduling).
+
+        Built without :meth:`__init__`, which would compile and validate
+        an empty profile only for this method to replace it.
+        """
+        dup = object.__new__(ResourceCalendar)
+        dup._capacity = self._capacity
+        dup._clamp = self._clamp
+        dup._incremental = self._incremental
         dup._reservations = list(self._reservations)
         dup._profile = self._profile
         # Sharing the index and memo dicts is safe: they describe the
@@ -678,10 +720,10 @@ class ResourceCalendar:
         Each request is an ``(earliest, durations)`` pair exactly as the
         per-call signature takes them (``m_offset`` fixed at 0):
         ``durations[j]`` is the duration on ``j + 1`` processors.  The
-        incremental scheduling engine batches the probes of every
-        simultaneously-ready task into one call per completion event, so
-        the 2-D free-run kernel builds its segment suffix once for the
-        whole batch instead of once per task.
+        2-D free-run kernel builds its segment suffix once for the whole
+        batch instead of once per request.  (The schedulers place tasks
+        with :meth:`earliest_completion` instead, which needs only the
+        winning count's start.)
 
         Results are **bitwise-identical** to issuing the per-call queries
         one by one: each request's rows see the same free runs (a fused
@@ -719,21 +761,10 @@ class ResourceCalendar:
         if prechecked:
             reqs: list[tuple[float, np.ndarray]] = list(requests)
         else:
-            reqs = []
-            for earliest, durations in requests:
-                d = np.asarray(durations, dtype=float)
-                if d.ndim != 1 or d.size == 0:
-                    raise CalendarError(
-                        "durations must be a non-empty 1-D array"
-                    )
-                if d.size > self._capacity:
-                    raise CalendarError(
-                        f"durations imply up to {d.size} processors but "
-                        f"capacity is {self._capacity}"
-                    )
-                if not np.all(d > 0):
-                    raise CalendarError("all durations must be positive")
-                reqs.append((float(earliest), d))
+            reqs = [
+                (float(earliest), self._checked_durations(durations))
+                for earliest, durations in requests
+            ]
         if not reqs:
             return []
 
@@ -752,8 +783,7 @@ class ResourceCalendar:
             _obs.incr("cache.calendar.multi.hit", len(reqs) - len(miss))
             _obs.incr("cache.calendar.multi.miss", len(miss))
         if _tl.ENABLED:
-            # One event per batched probe (the engine issues one batch
-            # per completion event), timed at the earliest request.
+            # One event per batched probe, timed at the earliest request.
             _tl.emit(
                 "probe_batch",
                 min(e for e, _ in reqs),
@@ -773,11 +803,11 @@ class ResourceCalendar:
             # Dense profile with a live index: the tree walks are already
             # per-request; the batch just amortizes the ENABLED checks
             # and memo lookups.  When no index exists for the current
-            # commit generation we deliberately do NOT build one — the
-            # batched probes come from the streamed engine, which commits
-            # after every event, so an index would be invalidated before
-            # it amortized its O(S) build; the windowed sweep below does
-            # O(window) work instead.
+            # commit generation we deliberately do NOT build one — a
+            # streamed calendar commits after every placement, so an
+            # index would be invalidated before it amortized its O(S)
+            # build; the windowed sweep below does O(window) work
+            # instead.
             idx = self._index
             for qi in miss:
                 e, d = reqs[qi]
@@ -899,6 +929,265 @@ class ResourceCalendar:
             pos += size
         return results  # type: ignore[return-value]
 
+    def _checked_durations(
+        self, durations: Sequence[float] | np.ndarray
+    ) -> np.ndarray:
+        """``durations`` as a float array of one positive duration per
+        processor count ``1..len``, no wider than the capacity."""
+        d = np.asarray(durations, dtype=float)
+        if d.ndim != 1 or d.size == 0:
+            raise CalendarError("durations must be a non-empty 1-D array")
+        if d.size > self._capacity:
+            raise CalendarError(
+                f"durations imply up to {d.size} processors but capacity "
+                f"is {self._capacity}"
+            )
+        if not d.min() > 0:
+            raise CalendarError("all durations must be positive")
+        return d
+
+    def earliest_completion(
+        self,
+        earliest: float,
+        durations: Sequence[float] | np.ndarray,
+        tie_break: str = "fewest",
+        *,
+        probed: list[ProbedCount] | None = None,
+    ) -> tuple[float, int]:
+        """The ``(start, nprocs)`` pair that completes earliest —
+        RESSCHED's per-task placement decision.
+
+        ``durations[j]`` is the duration on ``j + 1`` processors.  The
+        answer is bitwise-equal to the argmin of
+        ``earliest_starts_multi(earliest, durations) + durations`` (the
+        first minimum for ``tie_break="fewest"``, the last for
+        ``"most"``), without computing every count's start:
+
+        * counts are tried in ascending order of their lower bound
+          ``earliest + durations[j]`` — no start precedes ``earliest``
+          and rounded float addition is monotone, so no count completes
+          before its bound;
+        * each count's start comes from an early-exit walk over a short
+          window of the profile (NumPy rescans of 8x larger windows when
+          the answer lies beyond it), abandoned once its candidate
+          completion can no longer beat the best found so far;
+        * the first bound above the best completion ends the search.
+
+        A count ruled out this way completes strictly later than the
+        winner, or ties it and loses the tie-break, so skipping it never
+        changes the decision.
+
+        Args:
+            earliest: No window may start before this instant.
+            durations: Positive durations, one per processor count, no
+                more of them than the capacity.
+            tie_break: ``"fewest"`` or ``"most"`` processors among exact
+                completion ties.
+            probed: When a list, receives one :data:`ProbedCount` per
+                processor count (decision provenance).
+
+        Returns:
+            ``(start, nprocs)`` of the earliest completion.
+        """
+        d = self._checked_durations(durations)
+        if tie_break not in ("fewest", "most"):
+            raise CalendarError(
+                f"tie_break must be 'fewest' or 'most', got {tie_break!r}"
+            )
+        e = float(earliest)
+        fewest = tie_break == "fewest"
+        found = self._earliest_completion(
+            e, completion_order(e, d, fewest), fewest, probed
+        )
+        assert found is not None  # nothing to beat: every count resolves
+        return found
+
+    def _earliest_completion(
+        self,
+        e: float,
+        plan: "CompletionOrder",
+        fewest: bool,
+        probed: list[ProbedCount] | None,
+        beat: tuple[float, int] | None = None,
+    ) -> tuple[float, int] | None:
+        """:meth:`earliest_completion` on a checked, pre-sorted request.
+
+        Counts beyond this calendar's capacity are skipped, so a sharded
+        probe sorts once and hands the same ``plan`` to every shard.
+        ``beat`` is a competing ``(completion, nprocs)`` — a sharded
+        probe's best leg so far.  Only counts that beat it, or equal it
+        (the caller then compares starts), are answered; ``None`` means
+        none does.  Each count is tried at most once per call, so the
+        count-equality case only ever arises against ``beat``.
+        """
+        order, lows, durs = plan
+        if beat is None:
+            # A competitor every count beats, even at an infinite
+            # completion (the argmin over all-infinite completions is
+            # still the tie-break winner).
+            beat = (np.inf, len(order) + 1 if fewest else 0)
+        cap = self._capacity
+        prof = self.availability()
+        times, values = prof.times, prof.values
+        j0 = int(times.searchsorted(e, side="right"))
+        # The walk window as plain lists: vals[p] processors are free on
+        # [bnds[p], bnds[p + 1]); p = 0 is the segment holding `e`.
+        w = _WALK_WINDOW
+        if j0:
+            vals = values[j0 - 1 : j0 - 1 + w].tolist()
+            bnds = times[j0 - 1 : j0 + w].tolist()
+        else:
+            vals = [prof.base] + values[: w - 1].tolist()
+            bnds = [-np.inf] + times[:w].tolist()
+        n = len(vals)
+        if len(bnds) == n:
+            bnds.append(np.inf)  # the window reaches the all-free tail
+        best_c, best_m = beat
+        best_s: float | None = None
+        exact_n = escalated = 0
+        # Counts unresolved within the window: (lower-bound completion,
+        # position in `order`, count index, lower-bound start).
+        deferred: list[tuple[float, int, int, float]] = []
+        for idx, k in enumerate(order):
+            if k >= cap:
+                continue
+            m = k + 1
+            if lows[k] > best_c:
+                # Bounds ascend: no remaining count can win or tie.
+                if probed is not None:
+                    probed.extend(
+                        (r + 1, e, lows[r], False)
+                        for r in order[idx:]
+                        if r < cap
+                    )
+                break
+            tie_ok = m <= best_m if fewest else m >= best_m
+            if lows[k] == best_c and not tie_ok:
+                if probed is not None:
+                    probed.append((m, e, lows[k], False))
+                continue
+            dur = durs[k]
+            # Walk the free runs (maximal stretches with >= m free) in
+            # time order.  A run's candidate start is `e` or its first
+            # bound; candidates only grow along the walk, so the first
+            # one that cannot beat the best ends it.
+            state = 0  # 0: unresolved in the window, 1: fits, 2: pruned
+            cand = lb_s = bnds[n]
+            fin = 0.0
+            p = 0
+            while p < n:
+                if vals[p] < m:
+                    p += 1
+                    continue
+                cand = e if p == 0 else bnds[p]
+                fin = cand + dur
+                if fin > best_c or (fin == best_c and not tie_ok):
+                    state = 2
+                    break
+                q = p
+                while True:
+                    if fin <= bnds[q + 1]:
+                        state = 1
+                        break
+                    q += 1
+                    if q == n or vals[q] < m:
+                        break
+                if state:
+                    break
+                if q == n:
+                    lb_s = cand  # run still open at the window's end
+                    break
+                p = q + 1
+            if state == 0:
+                cand, fin = lb_s, lb_s + dur
+                if fin < best_c or (fin == best_c and tie_ok):
+                    # Settled after the window pass, once the counts
+                    # that fit inside it have lowered the best.
+                    deferred.append((fin, idx, k, cand))
+                    continue
+                state = 2
+            if state == 1:
+                exact_n += 1
+                best_c, best_m, best_s = fin, m, cand
+            if probed is not None:
+                probed.append((m, cand, fin, state == 1))
+        for fin, _, k, cand in sorted(deferred):
+            m = k + 1
+            tie_ok = m <= best_m if fewest else m >= best_m
+            exact = False
+            if fin < best_c or (fin == best_c and tie_ok):
+                escalated += 1
+                cand, fin, exact = self._scan_first_fit(
+                    prof, j0, e, m, durs[k], best_c, tie_ok
+                )
+            if exact:
+                exact_n += 1
+                if fin < best_c or (fin == best_c and tie_ok):
+                    best_c, best_m, best_s = fin, m, cand
+            if probed is not None:
+                probed.append((m, cand, fin, exact))
+        if _obs.ENABLED:
+            n_counts = min(len(order), cap)
+            _obs.incr("calendar.query.earliest_completion")
+            _obs.incr("calendar.completion.pruned", n_counts - exact_n)
+            _obs.incr("calendar.completion.escalations", escalated)
+            _obs.observe("calendar.probe.counts", n_counts)
+        return None if best_s is None else (best_s, best_m)
+
+    @staticmethod
+    def _scan_first_fit(
+        prof: StepFunction,
+        j0: int,
+        earliest: float,
+        m: int,
+        dur: float,
+        best_c: float,
+        tie_ok: bool,
+    ) -> tuple[float, float, bool]:
+        """One count's first fit by NumPy scans of growing windows.
+
+        The single-row form of the :meth:`earliest_starts_batch` window
+        sweep from the segment holding ``earliest`` (padded index
+        ``j0``): runs that close inside a window are decided exactly,
+        the trailing run only has its end understated, and a window
+        with no confirmed fit rescans 8x larger.  Returns ``(start,
+        finish, True)``, or ``(start, finish, False)`` with lower bounds
+        once those already lose to ``best_c`` — nothing later can fit
+        sooner.
+        """
+        times, values = prof.times, prof.values
+        n_seg = values.size + 1  # the base segment, then one per value
+        w = _WALK_WINDOW * 8
+        while True:
+            hi = min(j0 + w, n_seg)
+            if j0:
+                seg = values[j0 - 1 : hi - 1]
+                bnd = times[j0 - 1 : hi]
+            else:
+                seg = np.concatenate(([prof.base], values[: hi - 1]))
+                bnd = np.concatenate(([-np.inf], times[:hi]))
+            if hi == n_seg:
+                bnd = np.append(bnd, np.inf)
+            ok = np.zeros(seg.size + 2, dtype=bool)
+            np.greater_equal(seg, m, out=ok[1:-1])
+            rises = np.flatnonzero(ok[1:] & ~ok[:-1])
+            falls = np.flatnonzero(ok[:-1] & ~ok[1:])
+            cand = np.maximum(bnd[rises], earliest)
+            fin = cand + dur
+            hit = np.flatnonzero(fin <= bnd[falls])
+            if hit.size:
+                i = int(hit[0])
+                return float(cand[i]), float(fin[i]), True
+            if hi == n_seg:
+                raise CalendarError(
+                    "availability profile ended before the request was "
+                    "placed — internal invariant violated"
+                )
+            lb = float(cand[-1]) if ok[-2] else float(bnd[-1])
+            if lb + dur > best_c or (lb + dur == best_c and not tie_ok):
+                return lb, lb + dur, False
+            w *= 8
+
     def latest_starts_multi(
         self,
         latest_finish: float,
@@ -923,17 +1212,7 @@ class ResourceCalendar:
         durations: Sequence[float] | np.ndarray,
         earliest: float,
     ) -> np.ndarray:
-        d = np.asarray(durations, dtype=float)
-        if d.ndim != 1 or d.size == 0:
-            raise CalendarError("durations must be a non-empty 1-D array")
-        if d.size > self._capacity:
-            raise CalendarError(
-                f"durations imply up to {d.size} processors but capacity is "
-                f"{self._capacity}"
-            )
-        if not np.all(d > 0):
-            raise CalendarError("all durations must be positive")
-
+        d = self._checked_durations(durations)
         key = ("l", float(latest_finish), float(earliest), d.tobytes())
         cached = self._multi_cache.get(key)
         if cached is not None:

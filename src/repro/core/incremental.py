@@ -14,11 +14,10 @@ dicts, an indegree map, and a heap-backed ready queue keyed by
 per edge (plus one O(log n) heap push per newly-ready task) on each
 task-completion event.  On top of it,
 :func:`schedule_ressched_incremental` places one DAG into an existing —
-possibly shared and already-booked — calendar, batching the placement
-probes of all simultaneously-ready tasks into one
-:meth:`~repro.calendar.calendar.ResourceCalendar.earliest_starts_batch`
-query per event and retaining probe answers across events while they
-provably stay exact.
+possibly shared and already-booked — calendar, probing each task once,
+when it is popped, with one
+:meth:`~repro.calendar.calendar.ResourceCalendar.earliest_completion`
+query.
 
 The result is **bitwise-identical** to :func:`schedule_ressched` on the
 same instance (a Hypothesis property test enforces this):
@@ -29,13 +28,9 @@ same instance (a Hypothesis property test enforces this):
   heap pops ready tasks by the same ``(-bl[i], i)`` key; whenever the
   heap is popped, every task ordered before the globally-next unplaced
   task is already placed, so that task is ready and is the heap minimum.
-* *Retained probes stay exact.*  Commits only reduce availability, and a
-  commit ``[start, finish)`` that intersects none of a cached probe's
-  candidate windows ``[s_k, s_k + d_k)`` leaves each ``s_k`` feasible
-  and everything earlier infeasible; splices preserve breakpoint floats
-  outside the spliced interval, so a fresh query would return the same
-  bits.  The engine invalidates any cached probe whose window envelope
-  overlaps the committed interval (conservative, hence safe).
+* *Each probe sees the batch scheduler's calendar.*  A task is probed
+  right before its own commit, after every earlier task in pop order
+  has committed — the exact state the batch loop queries.
 """
 
 from __future__ import annotations
@@ -49,7 +44,7 @@ import numpy as np
 from repro.core.bottom_levels import bl_exec_times
 from repro.core.bounds import allocation_bounds
 from repro.core.context import ProblemContext
-from repro.core.ressched import ResSchedAlgorithm, _ressched_decision
+from repro.core.ressched import ResSchedAlgorithm, _place_task
 from repro.dag import TaskGraph
 from repro.errors import GenerationError
 from repro.obs import core as _obs
@@ -354,91 +349,30 @@ def schedule_ressched_incremental(
     state = SchedulerState(
         graph, plan.priorities, now=t0, ready_floors=ready_floors
     )
-    # Cached probe per ready task: (starts, window envelope lo/hi, the
-    # event it was computed at).  Dict, not set: iteration order must be
-    # deterministic.
-    probes: dict[int, tuple[np.ndarray, float, float, int]] = {}
     placements: list[TaskPlacement | None] = [None] * graph.n
     prov: list[dict] | None = [] if _obs.ENABLED else None
 
     def _run() -> None:
-        event = 0
         while not state.done:
-            fresh = [i for i in state.ready_tasks() if i not in probes]
-            if fresh:
-                batch = cal.earliest_starts_batch(
-                    [
-                        (state.ready_at(i), tables[i][: int(bounds[i])])
-                        for i in fresh
-                    ]
-                )
-                for i, starts in zip(fresh, batch):
-                    windows = starts + tables[i][: int(bounds[i])]
-                    # A sharded calendar probes processor counts no
-                    # single shard can host as +inf; those entries are
-                    # statically infeasible forever, so they never
-                    # constrain the invalidation envelope.  All-finite
-                    # (unsharded) probes take the first branch bitwise.
-                    hi = float(windows.max())
-                    if not np.isfinite(hi):
-                        finite = windows[np.isfinite(windows)]
-                        hi = (
-                            float(finite.max())
-                            if finite.size
-                            else float(starts.min())
-                        )
-                    probes[i] = (
-                        starts,
-                        float(starts.min()),
-                        hi,
-                        event,
-                    )
-                if prov is not None:
-                    _obs.incr("stream.batched_probes")
-                    _obs.incr("stream.probe_tasks", len(fresh))
-
             i = state.pop()
-            starts, _lo, _hi, probed_at = probes.pop(i)
+            ready = state.ready_at(i)
             durations = tables[i][: int(bounds[i])]
-            completions = starts + durations
-            if tie_break == "fewest":
-                # argmin returns the first minimum: the fewest processors
-                # among exact completion ties.
-                j = int(np.argmin(completions))
-            else:
-                # Last minimum: the most processors among ties.
-                j = int(completions.size - 1 - np.argmin(completions[::-1]))
-            m, start, dur = j + 1, float(starts[j]), float(durations[j])
-            if prov is not None:
-                _obs.incr("stream.events")
-                if probed_at != event:
-                    _obs.incr("stream.probe_reused")
-                _obs.incr("ressched.tasks")
-                _obs.incr("ressched.placement_probes", int(durations.size))
-                _obs.observe("ressched.candidates_per_task", durations.size)
-                rec = _ressched_decision(
-                    algorithm.name, graph, i, state.ready_at(i), starts,
-                    completions, j,
+            if _tl.ENABLED:
+                _tl.emit(
+                    "probe_batch",
+                    ready,
+                    tasks=1,
+                    candidates=int(durations.size),
                 )
-                _obs.decision(rec)
-                prov.append(rec)
-            # The placement came out of this calendar's own query, so commit
-            # via the fast path (no strict capacity re-validation).
-            cal.reserve_known_feasible(start, dur, m, label=graph.task(i).name)
+            if prov is not None:
+                _obs.incr("stream.batched_probes")
+                _obs.incr("stream.probe_tasks")
+                _obs.incr("stream.events")
+            start, m, dur = _place_task(
+                cal, graph, i, ready, durations, tie_break, algorithm.name,
+                prov,
+            )
             finish = start + dur
-            if probes:
-                # Drop cached probes whose window envelope overlaps the
-                # committed interval [start, finish); survivors provably
-                # still answer a fresh query bit for bit.
-                dead = [
-                    t
-                    for t, (_s, lo, hi, _ev) in probes.items()
-                    if lo < finish and start < hi
-                ]
-                for t in dead:
-                    del probes[t]
-                if prov is not None and dead:
-                    _obs.incr("stream.probe_invalidated", len(dead))
             placements[i] = TaskPlacement(
                 task=i, start=start, nprocs=m, duration=dur
             )
@@ -452,7 +386,6 @@ def schedule_ressched_incremental(
                     finish=finish,
                 )
             state.complete(i, finish)
-            event += 1
 
     # One span per whole schedule call, not per event; with obs disabled
     # even the no-op span call is skipped.

@@ -7,7 +7,9 @@ The paper's forward heuristic (§4.2) has two phases:
 2. For each task in order, consider every processor count up to its
    bound (:mod:`repro.core.bounds`) and commit the <count, start> pair
    with the earliest completion time given the current reservation
-   calendar (competing reservations plus already-placed tasks).
+   calendar (competing reservations plus already-placed tasks) — one
+   :meth:`~repro.calendar.ResourceCalendar.earliest_completion` query
+   per task, which skips the counts that provably cannot win.
 
 Crossing the four BL methods with the three paper BD methods yields the
 twelve ``BL_x_BD_y`` algorithms; with an empty reservation schedule,
@@ -18,10 +20,11 @@ toward fewer processors (saving CPU-hours at equal turn-around).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
+from repro.calendar import ProbedCount, ResourceCalendar
 from repro.core.bottom_levels import BL_METHODS_EXTENDED, bl_priority_order
 from repro.core.bounds import BD_METHODS_EXTENDED, allocation_bounds
 from repro.core.context import ProblemContext
@@ -30,6 +33,9 @@ from repro.errors import GenerationError
 from repro.obs import core as _obs
 from repro.schedule import Schedule, TaskPlacement
 from repro.workloads.reservations import ReservationScenario
+
+if TYPE_CHECKING:  # import cycle guard (typing only)
+    from repro.shard import ShardedCalendar
 
 
 @dataclass(frozen=True)
@@ -132,29 +138,16 @@ def schedule_ressched(
                 assert placement is not None, "bottom-level order broke precedence"
                 ready = max(ready, placement.finish)
 
-            durations = ctx.exec_tables[i][: int(bounds[i])]
-            starts = cal.earliest_starts_multi(ready, durations)
-            completions = starts + durations
-            if tie_break == "fewest":
-                # argmin returns the first minimum: the fewest processors
-                # among exact completion ties.
-                j = int(np.argmin(completions))
-            else:
-                # Last minimum: the most processors among ties.
-                j = int(completions.size - 1 - np.argmin(completions[::-1]))
-            m, start, dur = j + 1, float(starts[j]), float(durations[j])
-            if prov is not None:
-                _obs.incr("ressched.tasks")
-                _obs.incr("ressched.placement_probes", int(durations.size))
-                _obs.observe("ressched.candidates_per_task", durations.size)
-                rec = _ressched_decision(
-                    algorithm.name, graph, i, ready, starts, completions, j
-                )
-                _obs.decision(rec)
-                prov.append(rec)
-            # The placement came out of this calendar's own query, so commit
-            # via the fast path (no strict capacity re-validation).
-            cal.reserve_known_feasible(start, dur, m, label=graph.task(i).name)
+            start, m, dur = _place_task(
+                cal,
+                graph,
+                i,
+                ready,
+                ctx.exec_tables[i][: int(bounds[i])],
+                tie_break,
+                algorithm.name,
+                prov,
+            )
             placements[i] = TaskPlacement(task=i, start=start, nprocs=m, duration=dur)
 
     # One span per whole schedule call, not per task; with obs disabled
@@ -174,48 +167,86 @@ def schedule_ressched(
     )
 
 
+def _place_task(
+    cal: "ResourceCalendar | ShardedCalendar",
+    graph: TaskGraph,
+    i: int,
+    ready: float,
+    durations: np.ndarray,
+    tie_break: str,
+    algorithm: str,
+    prov: list[dict] | None,
+) -> tuple[float, int, float]:
+    """Place task ``i`` at its earliest completion and book it.
+
+    One earliest-completion query, then a fast-path commit: the
+    placement came out of this calendar's own query, so the strict
+    capacity re-validation is skipped.  With ``prov`` (obs enabled when
+    the schedule started) the decision record is appended to it.
+    Shared by the batch and the incremental driver.
+
+    Returns:
+        ``(start, nprocs, duration)`` of the committed placement.
+    """
+    probed: list[ProbedCount] | None = [] if prov is not None else None
+    start, m = cal.earliest_completion(
+        ready, durations, tie_break, probed=probed
+    )
+    dur = float(durations[m - 1])
+    if prov is not None:
+        assert probed is not None
+        _obs.incr("ressched.tasks")
+        _obs.incr("ressched.placement_probes", int(durations.size))
+        _obs.observe("ressched.candidates_per_task", durations.size)
+        rec = _ressched_decision(
+            algorithm, graph, i, ready, start, m, dur, probed
+        )
+        _obs.decision(rec)
+        prov.append(rec)
+    cal.reserve_known_feasible(start, dur, m, label=graph.task(i).name)
+    return start, m, dur
+
+
 def _ressched_decision(
     algorithm: str,
     graph: TaskGraph,
     i: int,
     ready: float,
-    starts: np.ndarray,
-    completions: np.ndarray,
-    j: int,
+    start: float,
+    m: int,
+    duration: float,
+    probed: "Sequence[ProbedCount]",
 ) -> dict:
     """The decision-provenance record of one forward placement.
 
     Every candidate processor count carries why it lost: a strictly
-    later completion, or an exact completion tie resolved by the
-    tie-break direction.  JSON-ready (plain Python scalars only).
+    later completion, an exact completion tie resolved by the tie-break
+    direction, or ``pruned_bound`` — the earliest-completion kernel
+    ruled it out from a lower bound on its completion (``finish``)
+    without computing its start.  JSON-ready (plain Python scalars
+    only).
     """
-    best = float(completions[j])
+    best = start + duration
     candidates = []
-    for k in range(int(completions.size)):
-        if k == j:
-            reason = "chosen"
-        elif float(completions[k]) > best:
-            reason = "later_completion"
+    for k, k_start, k_finish, exact in sorted(probed):
+        entry: dict = {"m": k}
+        if k == m:
+            entry.update(start=start, finish=best, reason="chosen")
+        elif not exact:
+            entry.update(finish=k_finish, reason="pruned_bound")
         else:
-            reason = "tie_more_procs" if k > j else "tie_fewer_procs"
-        candidates.append(
-            {
-                "m": k + 1,
-                "start": float(starts[k]),
-                "finish": float(completions[k]),
-                "reason": reason,
-            }
-        )
+            if k_finish > best:
+                reason = "later_completion"
+            else:
+                reason = "tie_more_procs" if k > m else "tie_fewer_procs"
+            entry.update(start=k_start, finish=k_finish, reason=reason)
+        candidates.append(entry)
     return {
         "task": int(i),
         "name": graph.task(i).name,
         "algorithm": algorithm,
         "rule": "earliest_completion",
         "ready": float(ready),
-        "chosen": {
-            "m": j + 1,
-            "start": float(starts[j]),
-            "finish": best,
-        },
+        "chosen": {"m": m, "start": start, "finish": best},
         "candidates": candidates,
     }

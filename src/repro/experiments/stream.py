@@ -30,10 +30,8 @@ counter                         meaning
 ==============================  ========================================
 ``stream.requests``             requests admitted
 ``stream.events``               task-completion events processed
-``stream.batched_probes``       batched placement-probe calendar queries
-``stream.probe_tasks``          tasks probed across those batches
-``stream.probe_reused``         cached probes reused across events
-``stream.probe_invalidated``    cached probes dropped by a commit
+``stream.batched_probes``       placement probes (one per task)
+``stream.probe_tasks``          tasks probed by them
 ``stream.memo.hit`` / ``.miss`` plan-memo hits / misses (repeated DAG
                                 shapes cost zero allocation work)
 ``stream.rejected``             requests turned away by admission control

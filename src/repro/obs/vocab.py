@@ -60,9 +60,12 @@ COUNTERS: frozenset[str] = frozenset(
         "calendar.batch.escalations",
         "calendar.commit.splice",
         "calendar.commit.validated",
+        "calendar.completion.escalations",
+        "calendar.completion.pruned",
         "calendar.query.earliest",
         "calendar.query.earliest.indexed",
         "calendar.query.earliest_batch",
+        "calendar.query.earliest_completion",
         "calendar.query.earliest_multi",
         "calendar.query.earliest_multi.indexed",
         "calendar.query.latest",
@@ -115,8 +118,6 @@ COUNTERS: frozenset[str] = frozenset(
         "stream.memo.evict",
         "stream.memo.hit",
         "stream.memo.miss",
-        "stream.probe_invalidated",
-        "stream.probe_reused",
         "stream.probe_tasks",
         "stream.rejected",
         "stream.requests",

@@ -10,21 +10,23 @@ the platform into ``K`` shards — each an independent strict
 generation counter — and recovers the calendar API on top:
 
 * **Probes fan out, reduced deterministically.**
-  :meth:`earliest_starts_batch` issues one batched query per shard
-  (durations truncated to the shard's capacity, missing processor
-  counts padded with ``+inf``) and reduces elementwise by
-  ``(earliest_start, shard_id)``: the minimum start wins, ties go to
-  the lowest shard id.  The reduction is a pure function of the shard
-  answers, so serial and process-pool fan-out are bitwise identical.
+  :meth:`earliest_completion` runs the earliest-completion kernel once
+  per shard (durations truncated to the shard's capacity) and keeps
+  the leg with the least ``(completion, nprocs in tie-break direction,
+  start)``; :meth:`earliest_starts_batch` issues one batched query per
+  shard (missing processor counts padded with ``+inf``) and reduces
+  elementwise by ``(earliest_start, shard_id)``: the minimum start
+  wins, ties go to the lowest shard id.  Both reductions are pure
+  functions of the shard answers, so serial and process-pool fan-out
+  are bitwise identical.
 
 * **Commits route to one shard.**  A placement the probe reduce
   reported feasible is hosted *wholly* by one shard;
   :meth:`reserve_known_feasible` commits into the first (lowest-id)
-  shard whose availability covers the window.  Because availability
-  only decreases between a probe and its commit (any overlapping
-  commit re-probes via the engine's envelope invalidation), the first
-  feasible shard at commit time is exactly the shard that produced the
-  winning probe answer.
+  shard whose availability covers the window.  The engine commits each
+  placement right after probing it, so the first feasible shard at
+  commit time is exactly the lowest-id shard whose earliest start for
+  that processor count is the reduced start.
 
 * **Two-phase cross-shard commits.**  :meth:`copy` captures the
   per-shard generation vector as a CAS token and records every shard
@@ -56,10 +58,17 @@ import numpy as np
 import numpy.typing as npt
 from typing import Any, Iterable, Sequence, cast
 
-from repro.calendar import Reservation, ResourceCalendar, StepFunction
+from repro.calendar import (
+    ProbedCount,
+    Reservation,
+    ResourceCalendar,
+    StepFunction,
+)
+from repro.calendar.calendar import completion_order
 from repro.errors import CalendarError, ShardCommitError
 from repro.obs import core as _obs
 from repro.obs import timeline as _tl
+from repro.shard.pool import CompletionLeg, completion_leg, probe_leg
 
 __all__ = ["ShardedCalendar", "shard_capacities"]
 
@@ -90,6 +99,57 @@ def shard_capacities(capacity: int, n_shards: int) -> tuple[int, ...]:
         )
     base, extra = divmod(capacity, n_shards)
     return tuple(base + (1 if k < extra else 0) for k in range(n_shards))
+
+
+def _better_leg(
+    best: tuple[float, int, float] | None,
+    answer: tuple[float, int] | None,
+    durations: npt.NDArray[np.float64],
+    sign: int,
+) -> tuple[float, int, float] | None:
+    """Fold one leg's ``(start, nprocs)`` into the running reduce key
+    ``(completion, sign * nprocs, start)``; the earlier leg keeps exact
+    key ties."""
+    if answer is None:
+        return best
+    start, m = answer
+    key = (start + float(durations[m - 1]), sign * m, start)
+    return key if best is None or key < best else best
+
+
+def _merge_probed(
+    n_counts: int,
+    legs: Sequence[list[ProbedCount] | None],
+    m: int,
+    start: float,
+    finish: float,
+) -> list[ProbedCount]:
+    """Platform-wide provenance of one fanned-out earliest-completion
+    probe: per count, the minimum start and completion over the shards
+    hosting it — exact only when every one of them evaluated it exactly,
+    a lower bound otherwise.  Counts no shard can host never complete
+    (``+inf``); ``m`` is reported with the reduced decision."""
+    per_count: dict[int, list[ProbedCount]] = {}
+    for leg in legs:
+        for entry in leg or ():
+            per_count.setdefault(entry[0], []).append(entry)
+    out: list[ProbedCount] = []
+    for k in range(1, n_counts + 1):
+        entries = per_count.get(k, [])
+        if k == m:
+            out.append((k, start, finish, True))
+        elif not entries:
+            out.append((k, np.inf, np.inf, True))
+        else:
+            out.append(
+                (
+                    k,
+                    min(x[1] for x in entries),
+                    min(x[2] for x in entries),
+                    all(x[3] for x in entries),
+                )
+            )
+    return out
 
 
 class ShardedCalendar:
@@ -129,12 +189,13 @@ class ShardedCalendar:
         # generation vector it was built at.
         self._combined: StepFunction | None = None
         self._combined_gens: tuple[int, ...] = ()
-        #: Facade probe cache: request key -> (per-shard answer legs,
-        #: generation vector the legs were computed at).  Staleness is
-        #: self-detecting — a leg whose tagged generation differs from
-        #: the shard's live generation is re-probed, the rest are served
-        #: from the cache — so a commit to one shard leaves the other
-        #: K - 1 legs of every retained probe valid.
+        #: Facade :meth:`earliest_starts_batch` cache: request key ->
+        #: (per-shard answer legs, generation vector the legs were
+        #: computed at).  Staleness is self-detecting — a leg whose
+        #: tagged generation differs from the shard's live generation
+        #: is re-probed, the rest are served from the cache — so a
+        #: commit to one shard leaves the other K - 1 legs of every
+        #: retained probe valid.
         self._probe_cache: dict[
             tuple[float, bytes],
             tuple[
@@ -399,8 +460,6 @@ class ShardedCalendar:
         back with ``+inf``) is shared with the pool workers, so serial
         and pooled answers come from the same code.
         """
-        from repro.shard.pool import probe_leg
-
         if _tl.ENABLED:
             _tl.push_shard(k)
         try:
@@ -408,6 +467,70 @@ class ShardedCalendar:
         finally:
             if _tl.ENABLED:
                 _tl.pop_shard()
+
+    def earliest_completion(
+        self,
+        earliest: float,
+        durations: npt.NDArray[np.float64] | Sequence[float],
+        tie_break: str = "fewest",
+        *,
+        probed: list[ProbedCount] | None = None,
+    ) -> tuple[float, int]:
+        """The ``(start, nprocs)`` completing earliest on any one shard.
+
+        Fans out one :meth:`ResourceCalendar.earliest_completion` leg
+        per shard (:func:`repro.shard.pool.completion_leg`: durations
+        truncated to the shard capacity, serially or through the probe
+        pool) and reduces the legs by ``(completion, nprocs in tie-break
+        direction, start)``.  That is the unsharded decision over the
+        ``(earliest_start, shard_id)``-reduced starts of
+        :meth:`earliest_starts_batch`: rounded float addition is
+        monotone, so a count's completion is the minimum of its
+        per-shard completions, and each leg's winner is the tie-break
+        winner among its own counts.  The start has to be in the key
+        because two shards' different starts can round to the same
+        completion; the smaller is the reduced start.  Serial legs are
+        handed the best leg so far and only answer when they can match
+        it; pooled legs run unbounded — the reduce is the same either
+        way.  With one shard this is the shard's own kernel verbatim.
+        """
+        if len(self._shards) == 1:
+            return self._shards[0].earliest_completion(
+                earliest, durations, tie_break, probed=probed
+            )
+        ((e, d),) = self._checked_requests([(earliest, durations)])
+        if tie_break not in ("fewest", "most"):
+            raise CalendarError(
+                f"tie_break must be 'fewest' or 'most', got {tie_break!r}"
+            )
+        fewest = tie_break == "fewest"
+        plan = completion_order(e, d, fewest)
+        trace = probed is not None
+        sign = 1 if fewest else -1
+        # Reduce key per leg: (completion, signed count, start).
+        best: tuple[float, int, float] | None = None
+        legs: list[CompletionLeg]
+        if self._pool is not None:
+            legs = self._pool.complete(e, plan, fewest, trace)
+            for answer, _ in legs:
+                best = _better_leg(best, answer, d, sign)
+        else:
+            # Serially, a leg only has to answer when it can match the
+            # best leg so far, which prunes most of the later shards.
+            legs = []
+            for s in self._shards:
+                beat = None if best is None else (best[0], sign * best[1])
+                legs.append(completion_leg(s, e, plan, fewest, trace, beat))
+                best = _better_leg(best, legs[-1][0], d, sign)
+        assert best is not None  # shard 0 hosts at least one processor
+        finish, signed_m, start = best
+        m = sign * signed_m
+        if probed is not None:
+            traces = [leg for _, leg in legs]
+            probed.extend(_merge_probed(d.size, traces, m, start, finish))
+        if _obs.ENABLED:
+            _obs.incr("shard.probes", len(self._shards))
+        return start, m
 
     def earliest_starts_multi(
         self,

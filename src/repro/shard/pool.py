@@ -2,8 +2,9 @@
 
 Extends the crash-tolerant parallel runner idea of
 :mod:`repro.experiments.parallel` from "fan out instances" to "fan out
-shards": the per-shard legs of one batched placement probe are answered
-by worker processes, each holding a full replica of the shard set.
+shards": the per-shard legs of one placement probe (an earliest-
+completion query or a batched earliest-start query) are answered by
+worker processes, each holding a full replica of the shard set.
 
 Replication is a **commit log**, not shared memory: the pool owner
 appends every facade mutation (known-feasible splice, external add,
@@ -37,14 +38,15 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 import numpy.typing as npt
 
-from repro.calendar import Reservation, ResourceCalendar
+from repro.calendar import ProbedCount, Reservation, ResourceCalendar
 from repro.calendar import calendar as _calmod
+from repro.calendar.calendar import CompletionOrder
 from repro.errors import ServiceError
 
 if TYPE_CHECKING:  # pragma: no cover — import cycle guard (typing only)
     from repro.shard.calendar import ShardedCalendar
 
-__all__ = ["ShardProbePool", "probe_leg"]
+__all__ = ["CompletionLeg", "ShardProbePool", "completion_leg", "probe_leg"]
 
 #: Frame header: unsigned 64-bit big-endian payload length.
 _LEN = struct.Struct(">Q")
@@ -105,6 +107,44 @@ def probe_leg(
             starts = padded
         out.append(starts)
     return out
+
+
+#: One shard's earliest-completion answer: its ``(start, nprocs)``
+#: (``None`` when nothing beat the competing leg it was given) and the
+#: per-count provenance, when that was asked for.
+CompletionLeg = tuple[tuple[float, int] | None, list[ProbedCount] | None]
+
+
+def completion_leg(
+    shard: ResourceCalendar,
+    earliest: float,
+    plan: CompletionOrder,
+    fewest: bool,
+    trace: bool,
+    beat: tuple[float, int] | None = None,
+) -> CompletionLeg:
+    """One shard's leg of a fanned-out earliest-completion probe.
+
+    Runs the shard's earliest-completion kernel on the facade's sorted,
+    already-validated request (counts beyond the shard capacity are
+    skipped — no single shard hosts more processors) against ``beat``;
+    the same function serves the serial fan-out and the pool workers.
+    """
+    probed: list[ProbedCount] | None = [] if trace else None
+    answer = shard._earliest_completion(earliest, plan, fewest, probed, beat)
+    return answer, probed
+
+
+def _run_legs(
+    shards: list[ResourceCalendar],
+    shard_ids: tuple[int, ...],
+    kind: str,
+    args: tuple[Any, ...],
+) -> dict[int, Any]:
+    """Answer one probe kind's legs for ``shard_ids``."""
+    if kind == "probe":
+        return {k: probe_leg(shards[k], *args) for k in shard_ids}
+    return {k: completion_leg(shards[k], *args) for k in shard_ids}
 
 
 def _snapshot_state(shards: tuple[ResourceCalendar, ...]) -> list[_ShardState]:
@@ -185,15 +225,15 @@ def _sync_replica(log_path: str, upto: int) -> list[ResourceCalendar]:
     return shards
 
 
-def _worker_probe(
+def _worker_legs(
     log_path: str,
     upto: int,
     shard_ids: tuple[int, ...],
-    reqs: list[tuple[float, npt.NDArray[np.float64]]],
-) -> dict[int, list[npt.NDArray[np.float64]]]:
+    kind: str,
+    args: tuple[Any, ...],
+) -> dict[int, Any]:
     """Answer the probe legs for ``shard_ids`` against the synced replica."""
-    shards = _sync_replica(log_path, upto)
-    return {k: probe_leg(shards[k], reqs) for k in shard_ids}
+    return _run_legs(_sync_replica(log_path, upto), shard_ids, kind, args)
 
 
 class ShardProbePool:
@@ -244,10 +284,8 @@ class ShardProbePool:
             self._pool = ProcessPoolExecutor(max_workers=self._n_workers)
         return self._pool
 
-    def probe(
-        self, reqs: list[tuple[float, npt.NDArray[np.float64]]]
-    ) -> list[list[npt.NDArray[np.float64]]]:
-        """Fan the probe legs out; returns per-shard answers by id.
+    def _fan_out(self, kind: str, args: tuple[Any, ...]) -> list[Any]:
+        """Fan one probe's legs out; returns per-shard answers by id.
 
         Shards are dealt to ``min(n_workers, n_shards)`` chunks by
         residue class (the :mod:`repro.experiments.parallel` idiom) and
@@ -267,11 +305,12 @@ class ShardProbePool:
                 pool = self._executor()
                 futures = [
                     pool.submit(
-                        _worker_probe, self._log_path, self._offset, ids, reqs
+                        _worker_legs, self._log_path, self._offset, ids,
+                        kind, args,
                     )
                     for ids in chunks
                 ]
-                merged: dict[int, list[npt.NDArray[np.float64]]] = {}
+                merged: dict[int, Any] = {}
                 for fut in futures:
                     merged.update(fut.result())
                 return [merged[k] for k in range(n_shards)]
@@ -281,9 +320,23 @@ class ShardProbePool:
                 self._pool = None
                 if attempt == 1:
                     break
-        return [
-            probe_leg(shard, reqs) for shard in self._calendar.shards
-        ]
+        merged = _run_legs(
+            list(self._calendar.shards), tuple(range(n_shards)), kind, args
+        )
+        return [merged[k] for k in range(n_shards)]
+
+    def probe(
+        self, reqs: list[tuple[float, npt.NDArray[np.float64]]]
+    ) -> list[list[npt.NDArray[np.float64]]]:
+        """Batch-probe legs (:func:`probe_leg`), per shard by id."""
+        return self._fan_out("probe", (reqs,))
+
+    def complete(
+        self, earliest: float, plan: CompletionOrder, fewest: bool, trace: bool
+    ) -> list[CompletionLeg]:
+        """Earliest-completion legs (:func:`completion_leg`), per shard
+        by id."""
+        return self._fan_out("complete", (earliest, plan, fewest, trace))
 
     # -- lifecycle ------------------------------------------------------
 

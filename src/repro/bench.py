@@ -7,9 +7,10 @@ allocation memo, CPA allocation, and one Table-4 experiment cell —
 against a **seed baseline**: the original
 implementations this repository shipped with before the optimization
 pass.  The baseline is reconstructed in-process by (a) flipping the
-module-level switches that gate the incremental paths and (b)
-monkeypatching faithful re-implementations of the routines whose
-*algorithm* changed (the per-node NumPy-scalar level loops and the
+module-level switches that gate the incremental CPA paths and the
+availability index and (b) monkeypatching faithful re-implementations
+of the routines whose *algorithm* changed (the per-node NumPy-scalar
+level loops, the recompile-per-commit calendar adds and the
 segment-walking placement scans below, kept verbatim from the seed
 commit).  Both sides of every comparison are asserted to produce
 identical results before their timings are reported.
@@ -187,6 +188,29 @@ def _seed_earliest_starts_multi(
         j += 1
 
 
+#: The live :meth:`ResourceCalendar.add`, kept for :func:`_seed_add`
+#: (inside :func:`seed_baseline` the class attribute is the seed copy).
+_live_add = ResourceCalendar.add
+
+
+def _seed_add(self, reservation: Reservation) -> None:
+    """The seed's ``add``: every commit drops the compiled profile and
+    recompiles (on strict calendars, re-validates) it from the full
+    event list."""
+    self._profile = None
+    _live_add(self, reservation)
+
+
+def _seed_reserve_known_feasible(
+    self, start: float, duration: float, nprocs: int, label: str = ""
+) -> Reservation:
+    """The seed had no known-feasible fast path: every commit is a
+    strict :meth:`ResourceCalendar.reserve`."""
+    r = Reservation(start=start, end=start + duration, nprocs=nprocs, label=label)
+    _seed_add(self, r)
+    return r
+
+
 def _seed_earliest_completion(
     self, earliest, durations, tie_break="fewest", *, probed=None
 ) -> tuple[float, int]:
@@ -210,34 +234,35 @@ def _seed_earliest_completion(
 def seed_baseline() -> Iterator[None]:
     """Run the enclosed code against the seed commit's hot paths.
 
-    Flips the incremental switches off (full profile recompiles on every
-    commit, full level recomputes in CPA) and swaps in the seed's
-    per-node/segment-walking implementations.  Everything is restored on
-    exit, even on error.
+    Swaps in the seed's commits (a full profile recompile and strict
+    validation on every add) and its per-node/segment-walking
+    implementations, turns the availability index off (threshold above
+    any profile size) and the incremental CPA levels off.  Everything is
+    restored on exit, even on error.
     """
     saved_flags = (
-        _calmod.INCREMENTAL_COMMITS,
-        _calmod.VALIDATE_COMMITS,
-        _calmod.USE_INDEX,
+        _calmod.INDEX_MIN_SEGMENTS,
         _allocmod.INCREMENTAL_LEVELS,
         _allocmod.MEMOIZE_ALLOCATIONS,
     )
     saved_methods = (
         TaskGraph.bottom_levels,
         TaskGraph.top_levels,
+        ResourceCalendar.add,
+        ResourceCalendar.reserve_known_feasible,
         ResourceCalendar.earliest_start,
         ResourceCalendar.latest_start,
         ResourceCalendar.earliest_starts_multi,
         ResourceCalendar.earliest_completion,
     )
-    _calmod.INCREMENTAL_COMMITS = False
-    _calmod.VALIDATE_COMMITS = True
-    _calmod.USE_INDEX = False
+    _calmod.INDEX_MIN_SEGMENTS = sys.maxsize
     _allocmod.INCREMENTAL_LEVELS = False
     _allocmod.MEMOIZE_ALLOCATIONS = False
     _allocmod.clear_memo()
     TaskGraph.bottom_levels = _seed_bottom_levels
     TaskGraph.top_levels = _seed_top_levels
+    ResourceCalendar.add = _seed_add
+    ResourceCalendar.reserve_known_feasible = _seed_reserve_known_feasible
     ResourceCalendar.earliest_start = _seed_earliest_start
     ResourceCalendar.latest_start = _seed_latest_start
     ResourceCalendar.earliest_starts_multi = _seed_earliest_starts_multi
@@ -246,15 +271,15 @@ def seed_baseline() -> Iterator[None]:
         yield
     finally:
         (
-            _calmod.INCREMENTAL_COMMITS,
-            _calmod.VALIDATE_COMMITS,
-            _calmod.USE_INDEX,
+            _calmod.INDEX_MIN_SEGMENTS,
             _allocmod.INCREMENTAL_LEVELS,
             _allocmod.MEMOIZE_ALLOCATIONS,
         ) = saved_flags
         (
             TaskGraph.bottom_levels,
             TaskGraph.top_levels,
+            ResourceCalendar.add,
+            ResourceCalendar.reserve_known_feasible,
             ResourceCalendar.earliest_start,
             ResourceCalendar.latest_start,
             ResourceCalendar.earliest_starts_multi,
@@ -312,14 +337,16 @@ def bench_calendar_commit(*, n_res: int, repeats: int) -> dict[str, Any]:
     batch = _random_reservations(n_res, capacity)
 
     def seed_path() -> ResourceCalendar:
-        cal = ResourceCalendar(capacity, incremental=False)
+        cal = ResourceCalendar(capacity)
         for r in batch:
-            cal.reserve(r.start, r.end - r.start, r.nprocs, label=r.label)
+            _seed_reserve_known_feasible(
+                cal, r.start, r.end - r.start, r.nprocs, label=r.label
+            )
         cal.availability()
         return cal
 
     def fast_path() -> ResourceCalendar:
-        cal = ResourceCalendar(capacity, incremental=True)
+        cal = ResourceCalendar(capacity)
         cal.availability()  # pre-compile, as schedulers do before committing
         for r in batch:
             cal.reserve_known_feasible(
@@ -346,7 +373,7 @@ def bench_placement_query(*, n_res: int, n_queries: int, repeats: int) -> dict[s
     Python-level bookkeeping; the current path is one 2-D NumPy sweep.
     """
     capacity = 64
-    cal = ResourceCalendar(capacity, incremental=True)
+    cal = ResourceCalendar(capacity)
     for r in _random_reservations(n_res, capacity, seed=11):
         cal.add(r)
     cal.availability()
@@ -402,12 +429,15 @@ def bench_placement_query_indexed(
     capacity = 128
     horizon = n_res * 120.0
     rng = make_rng(17)
-    cal = ResourceCalendar(capacity, incremental=False, clamp=True)
+    reservations = []
     for i in range(n_res):
         start = float(rng.uniform(0.0, horizon))
         dur = float(rng.uniform(60.0, 3_600.0))
         nprocs = int(rng.integers(1, max(2, capacity // 16)))
-        cal.add(Reservation(start=start, end=start + dur, nprocs=nprocs))
+        reservations.append(
+            Reservation(start=start, end=start + dur, nprocs=nprocs)
+        )
+    cal = ResourceCalendar(capacity, reservations, clamp=True)
     n_segments = cal.availability().n_segments
     rng = make_rng(29)
     queries = [
@@ -431,8 +461,8 @@ def bench_placement_query_indexed(
         return out
 
     def indexed_path() -> list[float | None]:
-        saved = _calmod.USE_INDEX, _calmod.INDEX_MIN_SEGMENTS
-        _calmod.USE_INDEX, _calmod.INDEX_MIN_SEGMENTS = True, 0
+        saved = _calmod.INDEX_MIN_SEGMENTS
+        _calmod.INDEX_MIN_SEGMENTS = 0
         try:
             out: list[float | None] = []
             for earliest, d, m in queries:
@@ -444,7 +474,7 @@ def bench_placement_query_indexed(
                 )
             return out
         finally:
-            _calmod.USE_INDEX, _calmod.INDEX_MIN_SEGMENTS = saved
+            _calmod.INDEX_MIN_SEGMENTS = saved
 
     seed_s, seed_res = _best_of(seed_path, repeats)
     idx_s, idx_res = _best_of(indexed_path, repeats)
@@ -807,30 +837,16 @@ def bench_service_faulted_stream(
     }
 
 
-def bench_sharded_throughput(
-    *, n_requests: int, n_res: int, n_shards: int, repeats: int
-) -> dict[str, Any]:
-    """Streamed admission on a dense calendar: K shards vs one.
+def sharded_stream_workload(n_res: int, n_requests: int) -> tuple[Any, list[Any]]:
+    """The ``sharded_throughput`` inputs: a 64-processor scenario with
+    ``n_res`` small competing reservations (a dense calendar) and
+    ``n_requests`` fork-join parameter sweeps arriving every 2,400 s.
 
-    The regime where sharding pays: a *dense* advance-reservation
-    calendar (``n_res`` competing bookings → hundreds of thousands of
-    profile segments) receiving wide fork-join sweeps.  Unsharded,
-    every commit splices the full O(S)-segment profile; sharded, a
-    commit splices one shard's O(S/K) profile, and each placement probe
-    runs one earliest-completion leg per shard, every leg after the
-    first bounded by the best answer so far.
-
-    Both pristine calendars are built once (the K-shard water-filled
-    partition is expensive and untimed); every timed run adopts a fresh
-    ``.copy()`` so repeats are independent.  ``speedup`` is the K = 1
-    wall-clock over the K = ``n_shards`` wall-clock on the *identical*
-    request stream, and the K = 1 report digest is asserted equal to
-    the plain unsharded engine's digest — the facade's bitwise
-    K = 1 reduction, gated here and in ``check_bench_regression.py``.
+    Returns ``(scenario, requests)`` for a
+    :class:`~repro.experiments.stream.StreamScheduler`.
     """
     from repro.dag.templates import parameter_sweep
-    from repro.experiments.stream import StreamRequest, StreamScheduler
-    from repro.shard import ShardedCalendar
+    from repro.experiments.stream import StreamRequest
     from repro.workloads.reservations import ReservationScenario
 
     capacity = 64
@@ -863,12 +879,39 @@ def bench_sharded_throughput(
         )
         for k in range(n_requests)
     ]
+    return scenario, requests
 
+
+def bench_sharded_throughput(
+    *, n_requests: int, n_res: int, n_shards: int, repeats: int
+) -> dict[str, Any]:
+    """Streamed admission on a dense calendar: K shards vs one.
+
+    The regime where sharding pays: a *dense* advance-reservation
+    calendar (``n_res`` competing bookings → hundreds of thousands of
+    profile segments) receiving wide fork-join sweeps.  Unsharded,
+    every commit splices the full O(S)-segment profile; sharded, a
+    commit splices one shard's O(S/K) profile, and each placement probe
+    runs one earliest-completion leg per shard, every leg after the
+    first bounded by the best answer so far.
+
+    Both pristine calendars are built once (the K-shard water-filled
+    partition is expensive and untimed); every timed run adopts a fresh
+    ``.copy()`` so repeats are independent.  ``speedup`` is the K = 1
+    wall-clock over the K = ``n_shards`` wall-clock on the *identical*
+    request stream, and the K = 1 report digest is asserted equal to
+    the plain unsharded engine's digest — the facade's bitwise
+    K = 1 reduction, gated here and in ``check_bench_regression.py``.
+    """
+    from repro.experiments.stream import StreamScheduler
+    from repro.shard import ShardedCalendar
+
+    scenario, requests = sharded_stream_workload(n_res, n_requests)
     base_k1 = ShardedCalendar.partition(
-        capacity, scenario.reservations, n_shards=1
+        scenario.capacity, scenario.reservations, n_shards=1
     )
     base_k = ShardedCalendar.partition(
-        capacity, scenario.reservations, n_shards=n_shards
+        scenario.capacity, scenario.reservations, n_shards=n_shards
     )
 
     def run_on(base: ShardedCalendar) -> Any:

@@ -46,37 +46,20 @@ from repro.calendar.reservation import Reservation
 from repro.calendar.timeline import StepFunction
 from repro.errors import CalendarError
 from repro.obs import core as _obs
-from repro.obs import timeline as _tl
 from repro.units import TIME_EPS
 
-#: Default for new calendars: maintain the availability profile
-#: incrementally on :meth:`ResourceCalendar.add` (the fast path).  The
-#: benchmark harness flips this off to measure the seed's
-#: invalidate-and-recompile behaviour.
-INCREMENTAL_COMMITS: bool = True
-
-#: Answer placement probes on dense profiles through the
-#: :class:`AvailabilityIndex` segment trees (O(log S) per probe) instead
-#: of the linear O(S) scans.  Bitwise-identical results either way; the
-#: benchmark harness flips this off to measure the linear reference.
-USE_INDEX: bool = True
-
-#: Profiles with fewer breakpoints than this answer queries with the
-#: linear NumPy scans — below it one vectorized pass beats building and
-#: walking trees.  Measured crossover on this codebase sits in the tens
-#: of thousands of segments for the commit-per-task scheduler pattern
-#: (each commit invalidates the index, so its O(S) rebuild competes with
-#: one O(S) vectorized scan); the threshold also bounds the linear
-#: multi-query sweep's O(S x B) scratch memory on very dense calendars.
-#: Tests and benchmarks drop it to 0 to force the tree walks.
+#: Profiles with at least this many breakpoints answer placement probes
+#: through the :class:`AvailabilityIndex` segment trees (O(log S) per
+#: probe); smaller ones use the linear NumPy scans — below it one
+#: vectorized pass beats building and walking trees.  Measured crossover
+#: on this codebase sits in the tens of thousands of segments for the
+#: commit-per-task scheduler pattern (each commit invalidates the index,
+#: so its O(S) rebuild competes with one O(S) vectorized scan); the
+#: threshold also bounds the linear multi-query sweep's O(S x B) scratch
+#: memory on very dense calendars.  Results are bitwise-identical either
+#: way: tests and benchmarks drop it to 0 to force the tree walks, or
+#: raise it above any profile size to force the linear reference.
 INDEX_MIN_SEGMENTS: int = 4096
-
-#: Initial window (in profile segments) of the batched placement-probe
-#: sweep (:meth:`ResourceCalendar.earliest_starts_batch`).  Rows whose
-#: first feasible run is not confirmed within the window rescan with an
-#: 8x larger one, so the constant only tunes constant factors — results
-#: are bitwise-independent of it.
-BATCH_WINDOW_SEGMENTS: int = 64
 
 #: Entry cap on the per-calendar query memo; reaching it drops the whole
 #: cache (calendars are short-lived, so simple beats clever here).
@@ -109,6 +92,27 @@ VALIDATE_COMMITS: bool = os.environ.get("REPRO_VALIDATE_COMMITS", "") not in (
 CompletionOrder = tuple[list[int], list[float], list[float]]
 
 
+def checked_durations(
+    durations: Sequence[float] | np.ndarray, capacity: int, m_offset: int = 0
+) -> np.ndarray:
+    """``durations`` as a float array of one positive duration per
+    processor count ``m_offset + 1, m_offset + 2, ...``, the largest no
+    more than ``capacity``."""
+    d = np.asarray(durations, dtype=float)
+    if d.ndim != 1 or d.size == 0:
+        raise CalendarError("durations must be a non-empty 1-D array")
+    if m_offset < 0:
+        raise CalendarError(f"m_offset must be >= 0, got {m_offset}")
+    if m_offset + d.size > capacity:
+        raise CalendarError(
+            f"durations imply up to {m_offset + d.size} processors but "
+            f"capacity is {capacity}"
+        )
+    if not d.min() > 0:
+        raise CalendarError("all durations must be positive")
+    return d
+
+
 def completion_order(
     earliest: float, durations: np.ndarray, fewest: bool
 ) -> CompletionOrder:
@@ -135,10 +139,6 @@ class ResourceCalendar:
             noisy workload data use this; scheduler-owned calendars keep
             the default strict behaviour so over-subscription bugs surface
             immediately.
-        incremental: Maintain the compiled availability profile
-            incrementally on :meth:`add` (O(segments) splice) instead of
-            invalidating it.  ``None`` (default) follows the module-level
-            :data:`INCREMENTAL_COMMITS` switch.
     """
 
     def __init__(
@@ -147,15 +147,11 @@ class ResourceCalendar:
         reservations: Iterable[Reservation] = (),
         *,
         clamp: bool = False,
-        incremental: bool | None = None,
     ):
         if capacity < 1:
             raise CalendarError(f"capacity must be >= 1, got {capacity}")
         self._capacity = int(capacity)
         self._clamp = bool(clamp)
-        self._incremental = (
-            INCREMENTAL_COMMITS if incremental is None else bool(incremental)
-        )
         self._reservations: list[Reservation] = []
         self._profile: StepFunction | None = None
         # Monotone commit generation: bumped on every profile mutation.
@@ -232,10 +228,10 @@ class ResourceCalendar:
     def add(self, reservation: Reservation) -> None:
         """Register a reservation.
 
-        When the availability profile is already compiled (and the
-        calendar is in incremental mode) the reservation is spliced into
-        it in O(segments); the strict capacity check then reads the
-        spliced profile's minimum instead of recompiling from scratch.
+        When the availability profile is already compiled the
+        reservation is spliced into it in O(segments); the strict
+        capacity check then reads the spliced profile's minimum instead
+        of recompiling from scratch.
 
         Raises:
             CalendarError: if the reservation alone exceeds capacity, or —
@@ -247,7 +243,7 @@ class ResourceCalendar:
                 f"reservation needs {reservation.nprocs} processors but the "
                 f"platform has only {self._capacity}"
             )
-        if self._incremental and self._profile is not None:
+        if self._profile is not None:
             if _obs.ENABLED:
                 _obs.incr("calendar.add.splice")
             spliced = self._profile.with_interval_delta(
@@ -340,7 +336,6 @@ class ResourceCalendar:
         dup = object.__new__(ResourceCalendar)
         dup._capacity = self._capacity
         dup._clamp = self._clamp
-        dup._incremental = self._incremental
         dup._reservations = list(self._reservations)
         dup._profile = self._profile
         # Sharing the index and memo dicts is safe: they describe the
@@ -416,7 +411,7 @@ class ResourceCalendar:
     def min_available(self, t0: float, t1: float) -> int:
         """Minimum free processors over ``[t0, t1)``."""
         prof = self.availability()
-        if USE_INDEX and prof.times.size >= INDEX_MIN_SEGMENTS and t1 > t0:
+        if prof.times.size >= INDEX_MIN_SEGMENTS and t1 > t0:
             if _obs.ENABLED:
                 _obs.incr("calendar.query.min.indexed")
             i0 = prof.segment_index(t0)
@@ -508,7 +503,7 @@ class ResourceCalendar:
             _obs.incr("calendar.query.earliest")
         self._check_request(duration, nprocs)
         prof = self.availability()
-        if USE_INDEX and prof.times.size >= INDEX_MIN_SEGMENTS:
+        if prof.times.size >= INDEX_MIN_SEGMENTS:
             if _obs.ENABLED:
                 _obs.incr("calendar.query.earliest.indexed")
             jq = int(np.searchsorted(prof.times, earliest, side="right"))
@@ -554,7 +549,7 @@ class ResourceCalendar:
             _obs.incr("calendar.query.latest")
         self._check_request(duration, nprocs)
         prof = self.availability()
-        if USE_INDEX and prof.times.size >= INDEX_MIN_SEGMENTS:
+        if prof.times.size >= INDEX_MIN_SEGMENTS:
             if _obs.ENABLED:
                 _obs.incr("calendar.query.latest.indexed")
             jq = int(np.searchsorted(prof.times, latest_finish, side="left"))
@@ -614,19 +609,7 @@ class ResourceCalendar:
         durations: Sequence[float] | np.ndarray,
         m_offset: int,
     ) -> np.ndarray:
-        d = np.asarray(durations, dtype=float)
-        if d.ndim != 1 or d.size == 0:
-            raise CalendarError("durations must be a non-empty 1-D array")
-        if m_offset < 0:
-            raise CalendarError(f"m_offset must be >= 0, got {m_offset}")
-        if m_offset + d.size > self._capacity:
-            raise CalendarError(
-                f"durations imply up to {m_offset + d.size} processors but "
-                f"capacity is {self._capacity}"
-            )
-        if not np.all(d > 0):
-            raise CalendarError("all durations must be positive")
-
+        d = checked_durations(durations, self._capacity, m_offset)
         key = ("e", float(earliest), int(m_offset), d.tobytes())
         cached = self._multi_cache.get(key)
         if cached is not None:
@@ -637,7 +620,7 @@ class ResourceCalendar:
             _obs.incr("cache.calendar.multi.miss")
 
         prof = self.availability()
-        if USE_INDEX and prof.times.size >= INDEX_MIN_SEGMENTS:
+        if prof.times.size >= INDEX_MIN_SEGMENTS:
             # Dense profile: one O(log S) indexed probe per processor
             # count beats sweeping every segment for every count.
             if _obs.ENABLED:
@@ -712,239 +695,16 @@ class ResourceCalendar:
     def earliest_starts_batch(
         self,
         requests: "Sequence[tuple[float, Sequence[float] | np.ndarray]]",
-        *,
-        prechecked: bool = False,
     ) -> list[np.ndarray]:
-        """Several :meth:`earliest_starts_multi` probes in one fused sweep.
+        """:meth:`earliest_starts_multi` for each ``(earliest, durations)``
+        request (``m_offset`` fixed at 0), in request order.
 
-        Each request is an ``(earliest, durations)`` pair exactly as the
-        per-call signature takes them (``m_offset`` fixed at 0):
-        ``durations[j]`` is the duration on ``j + 1`` processors.  The
-        2-D free-run kernel builds its segment suffix once for the whole
-        batch instead of once per request.  (The schedulers place tasks
-        with :meth:`earliest_completion` instead, which needs only the
+        The same queries under the same memo keys as issuing the
+        per-call probes one by one.  (The schedulers place tasks with
+        :meth:`earliest_completion` instead, which needs only the
         winning count's start.)
-
-        Results are **bitwise-identical** to issuing the per-call queries
-        one by one: each request's rows see the same free runs (a fused
-        suffix can only add runs that end at or before that request's
-        ``earliest``, which can never win), and the per-calendar query
-        memo is shared in both directions — batch results are stored
-        under the per-call keys and vice versa.
-
-        Args:
-            requests: ``(earliest, durations)`` pairs.
-            prechecked: The caller vouches every request is already a
-                ``(float, positive 1-D float array no wider than this
-                calendar's capacity)`` pair, so per-request validation is
-                skipped.  :class:`~repro.shard.ShardedCalendar` validates
-                a batch once at the facade and fans the same objects out
-                to every shard leg with this flag — without it each leg
-                would re-validate identical requests K times per probe.
-
-        Returns:
-            One starts array per request, in request order.
         """
-        if _obs.ENABLED:
-            with _obs.span("calendar.query.earliest_batch"):
-                return self._earliest_starts_batch(
-                    requests, prechecked=prechecked
-                )
-        return self._earliest_starts_batch(requests, prechecked=prechecked)
-
-    def _earliest_starts_batch(
-        self,
-        requests: "Sequence[tuple[float, Sequence[float] | np.ndarray]]",
-        *,
-        prechecked: bool = False,
-    ) -> list[np.ndarray]:
-        if prechecked:
-            reqs: list[tuple[float, np.ndarray]] = list(requests)
-        else:
-            reqs = [
-                (float(earliest), self._checked_durations(durations))
-                for earliest, durations in requests
-            ]
-        if not reqs:
-            return []
-
-        keys = [("e", e, 0, d.tobytes()) for e, d in reqs]
-        results: list[np.ndarray | None] = [None] * len(reqs)
-        miss: list[int] = []
-        for qi, key in enumerate(keys):
-            cached = self._multi_cache.get(key)
-            if cached is not None:
-                results[qi] = cached.copy()
-            else:
-                miss.append(qi)
-        if _obs.ENABLED:
-            _obs.incr("calendar.query.earliest_batch")
-            _obs.observe("calendar.batch.requests", len(reqs))
-            _obs.incr("cache.calendar.multi.hit", len(reqs) - len(miss))
-            _obs.incr("cache.calendar.multi.miss", len(miss))
-        if _tl.ENABLED:
-            # One event per batched probe, timed at the earliest request.
-            _tl.emit(
-                "probe_batch",
-                min(e for e, _ in reqs),
-                tasks=len(reqs),
-                candidates=int(sum(d.size for _, d in reqs)),
-                memo_misses=len(miss),
-            )
-        if not miss:
-            return results  # type: ignore[return-value]
-
-        prof = self.availability()
-        if (
-            USE_INDEX
-            and self._index is not None
-            and prof.times.size >= INDEX_MIN_SEGMENTS
-        ):
-            # Dense profile with a live index: the tree walks are already
-            # per-request; the batch just amortizes the ENABLED checks
-            # and memo lookups.  When no index exists for the current
-            # commit generation we deliberately do NOT build one — a
-            # streamed calendar commits after every placement, so an
-            # index would be invalidated before it amortized its O(S)
-            # build; the windowed sweep below does O(window) work
-            # instead.
-            idx = self._index
-            for qi in miss:
-                e, d = reqs[qi]
-                jq = int(np.searchsorted(prof.times, e, side="right"))
-                out = np.empty(d.size)
-                for k, dur in enumerate(d.tolist()):
-                    s = idx.earliest_start(jq, e, dur, k + 1)
-                    if s is None:
-                        raise CalendarError(
-                            "availability profile ended before all requests "
-                            "were placed — internal invariant violated"
-                        )
-                    out[k] = s
-                results[qi] = self._memo_store(keys[qi], out)
-            return results  # type: ignore[return-value]
-
-        # One fused 2-D sweep over the union of all missed rows.  The
-        # suffix starts at the earliest request's segment; rows of later
-        # requests see extra leading runs, but those end at or before
-        # their own `earliest` (profile breakpoints at/before `earliest`
-        # sort left of it), so with positive durations they are never
-        # feasible and the per-row first-feasible answer — and its
-        # clipped candidate float max(run start, earliest) — matches the
-        # per-call truncated sweep exactly.
-        #
-        # The sweep is *windowed*: answers almost always sit within a few
-        # segments of `earliest`, so scanning the whole suffix (which on
-        # a long-lived streamed calendar is thousands of segments) does
-        # O(rows x suffix) work for an O(rows x answer-distance) problem.
-        # Each pass scans a prefix window of the suffix.  Runs that close
-        # inside the window are decided exactly; the one run a window can
-        # truncate is its trailing run, whose end is only *under*stated
-        # (the true run extends at least to the window's last bound), so
-        # a candidate confirmed against that bound is exactly feasible
-        # and a rejected trailing candidate merely escalates — rows with
-        # no confirmed candidate retry with an 8x window until the window
-        # covers the suffix, where the pass *is* the full exact kernel.
-        # Accepted candidates are `max(run start, earliest)` over the
-        # same segment arrays in every pass, so results stay bitwise
-        # identical to the unwindowed sweep.
-        e_min = min(reqs[qi][0] for qi in miss)
-        times, values = prof.times, prof.values
-        j0 = int(np.searchsorted(times, e_min, side="right"))
-        # The padded segment-value array is conceptually
-        # ``[base, *values]`` and its bounds ``[-inf, *times, +inf]``;
-        # windows are sliced as views of `values`/`times` directly (the
-        # padding only matters at the two ends), so a pass never copies
-        # O(suffix) data.
-        n_suffix = values.size + 1 - j0
-        row_m = np.concatenate(
-            [np.arange(1, reqs[qi][1].size + 1) for qi in miss]
-        )
-        row_d = np.concatenate([reqs[qi][1] for qi in miss])
-        row_earliest = np.repeat(
-            [reqs[qi][0] for qi in miss],
-            [reqs[qi][1].size for qi in miss],
-        )
-        flat = np.empty(row_m.size)
-        alive = np.arange(row_m.size)
-        window = max(1, BATCH_WINDOW_SEGMENTS)
-        scanned = 0
-        while True:
-            wc = min(window, n_suffix)
-            scanned += wc
-            if j0 >= 1:
-                segvals = values[j0 - 1 : j0 - 1 + wc]
-            else:
-                segvals = np.concatenate(([prof.base], values[: wc - 1]))
-            if j0 >= 1 and j0 + wc <= times.size:
-                segbounds = times[j0 - 1 : j0 + wc]
-            else:
-                head = [] if j0 >= 1 else [np.array([-np.inf])]
-                tail = [] if j0 + wc <= times.size else [np.array([np.inf])]
-                segbounds = np.concatenate(
-                    head
-                    + [times[max(j0 - 1, 0) : min(j0 + wc, times.size)]]
-                    + tail
-                )
-            m_a = row_m[alive]
-            ok = np.zeros((alive.size, wc + 2), dtype=bool)
-            np.greater_equal(segvals[None, :], m_a[:, None], out=ok[:, 1:-1])
-            inner = ok[:, 1:-1]
-            r_rows, r_cols = np.nonzero(inner & ~ok[:, :-2])
-            f_rows, f_cols = np.nonzero(inner & ~ok[:, 2:])
-            cand = np.maximum(segbounds[r_cols], row_earliest[alive][r_rows])
-            feasible = cand + row_d[alive][r_rows] <= segbounds[f_cols + 1]
-            rows_f = r_rows[feasible]
-            if rows_f.size:
-                # `r_rows` is row-major sorted, so the first feasible run
-                # per row is the first occurrence in `rows_f` — no sort
-                # needed (unlike np.unique).
-                first = np.empty(rows_f.size, dtype=bool)
-                first[0] = True
-                np.not_equal(rows_f[1:], rows_f[:-1], out=first[1:])
-                urows = rows_f[first]
-                flat[alive[urows]] = cand[feasible][first]
-            else:
-                urows = rows_f
-            if urows.size == alive.size:
-                break
-            if wc >= n_suffix:
-                raise CalendarError(
-                    "availability profile ended before all requests were "
-                    "placed — internal invariant violated"
-                )
-            keep = np.ones(alive.size, dtype=bool)
-            keep[urows] = False
-            alive = alive[keep]
-            window *= 8
-            if _obs.ENABLED:
-                _obs.incr("calendar.batch.escalations")
-        if _obs.ENABLED:
-            _obs.observe("calendar.scan.segments", scanned)
-            _obs.observe("calendar.probe.counts", row_m.size)
-        pos = 0
-        for qi in miss:
-            size = reqs[qi][1].size
-            results[qi] = self._memo_store(keys[qi], flat[pos : pos + size])
-            pos += size
-        return results  # type: ignore[return-value]
-
-    def _checked_durations(
-        self, durations: Sequence[float] | np.ndarray
-    ) -> np.ndarray:
-        """``durations`` as a float array of one positive duration per
-        processor count ``1..len``, no wider than the capacity."""
-        d = np.asarray(durations, dtype=float)
-        if d.ndim != 1 or d.size == 0:
-            raise CalendarError("durations must be a non-empty 1-D array")
-        if d.size > self._capacity:
-            raise CalendarError(
-                f"durations imply up to {d.size} processors but capacity "
-                f"is {self._capacity}"
-            )
-        if not d.min() > 0:
-            raise CalendarError("all durations must be positive")
-        return d
+        return [self.earliest_starts_multi(e, d) for e, d in requests]
 
     def earliest_completion(
         self,
@@ -989,7 +749,7 @@ class ResourceCalendar:
         Returns:
             ``(start, nprocs)`` of the earliest completion.
         """
-        d = self._checked_durations(durations)
+        d = checked_durations(durations, self._capacity)
         if tie_break not in ("fewest", "most"):
             raise CalendarError(
                 f"tie_break must be 'fewest' or 'most', got {tie_break!r}"
@@ -1146,11 +906,11 @@ class ResourceCalendar:
     ) -> tuple[float, float, bool]:
         """One count's first fit by NumPy scans of growing windows.
 
-        The single-row form of the :meth:`earliest_starts_batch` window
-        sweep from the segment holding ``earliest`` (padded index
+        Scans from the segment holding ``earliest`` (padded index
         ``j0``): runs that close inside a window are decided exactly,
-        the trailing run only has its end understated, and a window
-        with no confirmed fit rescans 8x larger.  Returns ``(start,
+        the trailing run only has its end understated (the true run
+        extends at least to the window's last bound), and a window with
+        no confirmed fit rescans 8x larger.  Returns ``(start,
         finish, True)``, or ``(start, finish, False)`` with lower bounds
         once those already lose to ``best_c`` — nothing later can fit
         sooner.
@@ -1212,7 +972,7 @@ class ResourceCalendar:
         durations: Sequence[float] | np.ndarray,
         earliest: float,
     ) -> np.ndarray:
-        d = self._checked_durations(durations)
+        d = checked_durations(durations, self._capacity)
         key = ("l", float(latest_finish), float(earliest), d.tobytes())
         cached = self._multi_cache.get(key)
         if cached is not None:
@@ -1224,7 +984,7 @@ class ResourceCalendar:
 
         prof = self.availability()
         times = prof.times
-        if USE_INDEX and times.size >= INDEX_MIN_SEGMENTS:
+        if times.size >= INDEX_MIN_SEGMENTS:
             if _obs.ENABLED:
                 _obs.incr("calendar.query.latest_multi")
                 _obs.incr("calendar.query.latest_multi.indexed")

@@ -801,7 +801,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--shard-workers", type=int, default=0, dest="shard_workers",
         help="probe fan-out worker processes (0 = serial fan-out; "
-        "any count is bitwise identical)",
+        "any count is bitwise identical; not with --admission-window)",
     )
     p.set_defaults(func=_cmd_stream)
 
@@ -900,8 +900,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--shard-workers", type=int, default=0, dest="shard_workers",
-        help="probe fan-out worker processes (0 = serial fan-out; "
-        "any count is bitwise identical)",
+        help="must be 0 (serial probe fan-out): the service plans every "
+        "admission on a staged calendar copy, and copies probe serially",
     )
     p.set_defaults(func=_cmd_serve)
 

@@ -33,6 +33,7 @@ are partition-independent because calendars never outlive one instance.
 
 from __future__ import annotations
 
+import sys
 from contextlib import contextmanager
 from typing import Any, Iterator
 
@@ -55,7 +56,6 @@ def cache_stats() -> dict[str, Any]:
     return {
         "alloc_memo": _allocmod.memo_stats(),
         "calendar": {
-            "use_index": _calmod.USE_INDEX,
             "index_min_segments": _calmod.INDEX_MIN_SEGMENTS,
             "multi_cache_cap": _calmod._MULTI_CACHE_CAP,
         },
@@ -66,20 +66,21 @@ def cache_stats() -> dict[str, Any]:
 def caching(enabled: bool) -> Iterator[None]:
     """Force every cache layer on or off for the enclosed region.
 
-    Restores the previous flags on exit.  Disabling also clears the
-    allocation memo so a later re-enable cannot serve entries computed
-    under different module flags.
+    Restores the previous flags on exit.  Disabling turns the
+    availability index off (threshold above any profile size) and also
+    clears the allocation memo so a later re-enable cannot serve
+    entries computed under different module flags.
     """
     prev_alloc = _allocmod.MEMOIZE_ALLOCATIONS
-    prev_index = _calmod.USE_INDEX
+    prev_index = _calmod.INDEX_MIN_SEGMENTS
     _allocmod.MEMOIZE_ALLOCATIONS = bool(enabled)
-    _calmod.USE_INDEX = bool(enabled)
     if not enabled:
+        _calmod.INDEX_MIN_SEGMENTS = sys.maxsize
         _allocmod.clear_memo()
     try:
         yield
     finally:
         _allocmod.MEMOIZE_ALLOCATIONS = prev_alloc
-        _calmod.USE_INDEX = prev_index
+        _calmod.INDEX_MIN_SEGMENTS = prev_index
         if not enabled:
             _allocmod.clear_memo()

@@ -79,7 +79,7 @@ StreamFactory = Callable[..., Iterator[InstanceStream]]
 #: benchmark harness, sweeps over scales — share one pool per count
 #: instead of re-forking every call.  Workers hold a fork-time snapshot
 #: of module globals; flip module-level switches (e.g.
-#: ``repro.calendar.calendar.INCREMENTAL_COMMITS``) before the first
+#: ``repro.calendar.calendar.INDEX_MIN_SEGMENTS``) before the first
 #: parallel call, or call :func:`shutdown_pools` to force fresh workers.
 _POOLS: dict[int, ProcessPoolExecutor] = {}
 

@@ -237,7 +237,9 @@ class StreamScheduler:
             to this many worker processes via
             :class:`~repro.shard.ShardProbePool` (0 = serial fan-out).
             Results are bitwise identical at any worker count; call
-            :meth:`close` when done to release the workers.
+            :meth:`close` when done to release the workers.  Requires
+            ``admission_window=None``: a windowed stream plans every
+            request on a staged copy, and copies probe serially.
         calendar: Optional pre-built booking calendar to adopt instead
             of constructing one from the scenario — it must cover the
             scenario's capacity and competing reservations (the caller
@@ -268,6 +270,13 @@ class StreamScheduler:
         if shards is None and shard_workers:
             raise ServiceError(
                 "shard_workers requires a sharded calendar (shards >= 1)"
+            )
+        if admission_window is not None and shard_workers:
+            raise ServiceError(
+                f"shard_workers={shard_workers} needs admission_window="
+                "None: a windowed stream plans every request on a staged "
+                "calendar copy, and copies probe serially, so the worker "
+                "pool would never answer a probe"
             )
         if calendar is not None and shards is not None:
             raise ServiceError(

@@ -126,8 +126,7 @@ def trace_scope(
 
 #: Ambient shard scope stack: while a :class:`repro.shard.ShardedCalendar`
 #: serves one shard's leg of a fanned-out probe or commit, every event
-#: emitted underneath (e.g. the calendar's own ``probe_batch``) is tagged
-#: with that shard id.  Orthogonal to the trace stack: a shard scope
+#: emitted underneath is tagged with that shard id.  Orthogonal to the trace stack: a shard scope
 #: nests inside a request's trace scope.
 _SHARD_STACK: list[int] = []
 

@@ -51,20 +51,15 @@ COUNTERS: frozenset[str] = frozenset(
         "cache.calendar.multi.miss",
         "cache.calendar.runs.hit",
         "cache.calendar.runs.miss",
-        "cache.shard.probe.evict",
-        "cache.shard.probe.hit",
-        "cache.shard.probe.miss",
         # -- calendar hot path -------------------------------------------
         "calendar.add.rebuild",
         "calendar.add.splice",
-        "calendar.batch.escalations",
         "calendar.commit.splice",
         "calendar.commit.validated",
         "calendar.completion.escalations",
         "calendar.completion.pruned",
         "calendar.query.earliest",
         "calendar.query.earliest.indexed",
-        "calendar.query.earliest_batch",
         "calendar.query.earliest_completion",
         "calendar.query.earliest_multi",
         "calendar.query.earliest_multi.indexed",
@@ -138,7 +133,6 @@ COUNTER_FAMILIES: frozenset[str] = frozenset(
 #: Value distributions (:func:`repro.obs.core.observe`).
 HISTOGRAMS: frozenset[str] = frozenset(
     {
-        "calendar.batch.requests",
         "calendar.probe.counts",
         "calendar.scan.segments",
         "cpa.iterations_per_run",
@@ -155,7 +149,6 @@ HISTOGRAM_FAMILIES: frozenset[str] = frozenset()
 SPANS: frozenset[str] = frozenset(
     {
         "calendar.commit",
-        "calendar.query.earliest_batch",
         "calendar.query.earliest_multi",
         "calendar.query.latest_multi",
         "cpa.allocation",

@@ -293,10 +293,10 @@ class ReservationService:
             are hosted wholly by a deterministic shard (trace index mod
             K) so repairs rebook across shards.  ``shards=1`` reduces
             bitwise to the unsharded service.
-        shard_workers: With ``shards``, fan the per-shard probe legs
-            out to this many worker processes (0 = serial); bitwise
-            identical at any worker count.  Call :meth:`close` when
-            done to release the workers.
+        shard_workers: Must be 0 (serial probe fan-out).  The service
+            plans every admission on a staged calendar copy, and copies
+            probe serially, so probe workers would never answer a probe;
+            any other value raises :class:`~repro.errors.ServiceError`.
     """
 
     def __init__(
@@ -315,6 +315,13 @@ class ReservationService:
         shards: int | None = None,
         shard_workers: int = 0,
     ) -> None:
+        if shard_workers:
+            raise ServiceError(
+                f"shard_workers={shard_workers} is not supported: the "
+                "service plans every admission on a staged calendar copy, "
+                "and copies probe serially, so the worker pool would never "
+                "answer a probe (use shard_workers=0)"
+            )
         self._scenario = scenario
         self._config = ServiceConfig() if config is None else config
         self._fault_model = fault_model
@@ -326,7 +333,6 @@ class ReservationService:
             tie_break=tie_break,
             memo=memo,
             shards=shards,
-            shard_workers=shard_workers,
         )
         self._journal = (
             None if journal_path is None else ServiceJournal(journal_path)
@@ -366,7 +372,7 @@ class ReservationService:
         return self._scheduler.calendar
 
     def close(self) -> None:
-        """Release the probe worker pool, if one is attached."""
+        """Release the wrapped engine's resources."""
         self._scheduler.close()
 
     @property

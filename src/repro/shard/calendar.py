@@ -13,10 +13,11 @@ generation counter — and recovers the calendar API on top:
   :meth:`earliest_completion` runs the earliest-completion kernel once
   per shard (durations truncated to the shard's capacity) and keeps
   the leg with the least ``(completion, nprocs in tie-break direction,
-  start)``; :meth:`earliest_starts_batch` issues one batched query per
-  shard (missing processor counts padded with ``+inf``) and reduces
-  elementwise by ``(earliest_start, shard_id)``: the minimum start
-  wins, ties go to the lowest shard id.  Both reductions are pure
+  start)``; :meth:`earliest_starts_batch` answers each request with
+  one :meth:`~repro.calendar.ResourceCalendar.earliest_starts_multi`
+  per shard (missing processor counts padded with ``+inf``) and
+  reduces elementwise by ``(earliest_start, shard_id)``: the minimum
+  start wins, ties go to the lowest shard id.  Both reductions are pure
   functions of the shard answers, so serial and process-pool fan-out
   are bitwise identical.
 
@@ -56,7 +57,7 @@ from __future__ import annotations
 
 import numpy as np
 import numpy.typing as npt
-from typing import Any, Iterable, Sequence, cast
+from typing import Any, Iterable, Sequence
 
 from repro.calendar import (
     ProbedCount,
@@ -64,20 +65,16 @@ from repro.calendar import (
     ResourceCalendar,
     StepFunction,
 )
-from repro.calendar.calendar import completion_order
+from repro.calendar.calendar import checked_durations, completion_order
 from repro.errors import CalendarError, ShardCommitError
 from repro.obs import core as _obs
 from repro.obs import timeline as _tl
-from repro.shard.pool import CompletionLeg, completion_leg, probe_leg
+from repro.shard.pool import CompletionLeg, completion_leg
 
 __all__ = ["ShardedCalendar", "shard_capacities"]
 
 #: Key identifying a reservation across the facade's piece bookkeeping.
 _ResKey = tuple[float, float, int, str]
-
-#: Facade probe-cache entries before the whole cache is dropped
-#: (mirrors the per-calendar multi-query memo cap).
-_PROBE_CACHE_CAP = 4096
 
 
 def _res_key(r: Reservation) -> _ResKey:
@@ -189,20 +186,6 @@ class ShardedCalendar:
         # generation vector it was built at.
         self._combined: StepFunction | None = None
         self._combined_gens: tuple[int, ...] = ()
-        #: Facade :meth:`earliest_starts_batch` cache: request key ->
-        #: (per-shard answer legs, generation vector the legs were
-        #: computed at).  Staleness is self-detecting — a leg whose
-        #: tagged generation differs from the shard's live generation
-        #: is re-probed, the rest are served from the cache — so a
-        #: commit to one shard leaves the other K - 1 legs of every
-        #: retained probe valid.
-        self._probe_cache: dict[
-            tuple[float, bytes],
-            tuple[
-                tuple[npt.NDArray[np.float64], ...],
-                tuple[int, ...],
-            ],
-        ] = {}
 
     # ------------------------------------------------------------------
     # Construction
@@ -328,21 +311,9 @@ class ShardedCalendar:
         """Minimum *total* free processors over ``[t0, t1)``.
 
         Note this is an upper bound on what one placement can use: a
-        single reservation must fit wholly inside one shard (see
-        :meth:`fits`).
+        single reservation must fit wholly inside one shard.
         """
         return int(self.availability().min_over(t0, t1))
-
-    def fits(self, start: float, duration: float, nprocs: int) -> bool:
-        """True when some *single* shard has ``nprocs`` free on
-        ``[start, start + duration)`` — the sharded hosting rule."""
-        end = start + duration
-        for s in self._shards:
-            if nprocs <= s.capacity and (
-                s.availability().min_over(start, end) >= nprocs
-            ):
-                return True
-        return False
 
     # ------------------------------------------------------------------
     # Placement probes (fan-out / reduce)
@@ -354,119 +325,34 @@ class ShardedCalendar:
             tuple[float, npt.NDArray[np.float64] | Sequence[float]]
         ],
     ) -> list[npt.NDArray[np.float64]]:
-        """Batched earliest-start probes, fanned out over all shards.
+        """Earliest-start probes, one per request, fanned out over all
+        shards.
 
         Per request ``(earliest, durations)`` the answer is, for each
         processor count ``m = 1..len(durations)``, the minimum over
         shards of the shard-local earliest start (``+inf`` where ``m``
-        exceeds every shard's capacity) — the deterministic
-        ``(earliest_start, shard_id)`` reduce.  With one shard this is
-        the shard's own batch verbatim (same memo keys, same arrays).
-
-        Answer legs are cached per request under the generation vector
-        they were computed at, so a re-probe after a commit to shard
-        ``j`` re-issues only shard ``j``'s leg — the other ``K - 1``
-        legs are provably current (an unchanged generation means an
-        unchanged shard) and come from the cache.  The reduce is a pure
-        function of the legs either way, so caching cannot change any
-        answer.
+        exceeds the shard's capacity) — the deterministic
+        ``(earliest_start, shard_id)`` reduce.  Each shard answers with
+        :meth:`~repro.calendar.ResourceCalendar.earliest_starts_multi`
+        on the durations truncated to its capacity.  With one shard
+        this is the shard's own batch verbatim (same memo keys, same
+        arrays).
         """
         if len(self._shards) == 1:
             return self._shards[0].earliest_starts_batch(requests)
-        reqs = self._checked_requests(requests)
-        if not reqs:
-            return []
-        n = len(self._shards)
-        gens = self.generations
-        if len(self._probe_cache) >= _PROBE_CACHE_CAP:
-            if _obs.ENABLED:
-                _obs.incr("cache.shard.probe.evict")
-            self._probe_cache = {}
-        keys = [(e, d.tobytes()) for e, d in reqs]
-        legs: list[list[npt.NDArray[np.float64] | None]] = []
-        need: list[list[int]] = [[] for _ in range(n)]
-        for qi, key in enumerate(keys):
-            ent = self._probe_cache.get(key)
-            if ent is None:
-                legs.append([None] * n)
-                for k in range(n):
-                    need[k].append(qi)
-                continue
-            cached, tags = ent
-            row: list[npt.NDArray[np.float64] | None] = list(cached)
-            for k in range(n):
-                if tags[k] != gens[k]:
-                    row[k] = None
-                    need[k].append(qi)
-            legs.append(row)
-        probed = sum(len(qis) for qis in need)
-        if probed and self._pool is not None:
-            # The pool replays its replica log once per probe round, so
-            # partial fan-out saves nothing — refresh every leg.
-            probed = n * len(reqs)
-            per_shard = self._pool.probe(reqs)
-            for k in range(n):
-                for qi in range(len(reqs)):
-                    legs[qi][k] = per_shard[k][qi]
-        elif probed:
-            for k, qis in enumerate(need):
-                if not qis:
-                    continue
-                answers = self._probe_shard(k, [reqs[qi] for qi in qis])
-                for qi, starts in zip(qis, answers):
-                    legs[qi][k] = starts
-        filled = cast("list[list[npt.NDArray[np.float64]]]", legs)
-        for qi, key in enumerate(keys):
-            self._probe_cache[key] = (tuple(filled[qi]), gens)
-        if _obs.ENABLED:
-            _obs.incr("shard.probes", probed)
-            _obs.incr("cache.shard.probe.hit", n * len(reqs) - probed)
-            _obs.incr("cache.shard.probe.miss", probed)
-        return [np.minimum.reduce(row) for row in filled]
-
-    def _checked_requests(
-        self,
-        requests: Sequence[
-            tuple[float, npt.NDArray[np.float64] | Sequence[float]]
-        ],
-    ) -> list[tuple[float, npt.NDArray[np.float64]]]:
-        """Validate a probe batch against the *platform*, like the
-        unsharded calendar would (shards re-check their truncations)."""
-        total = self.capacity
-        out: list[tuple[float, npt.NDArray[np.float64]]] = []
+        out: list[npt.NDArray[np.float64]] = []
         for earliest, durations in requests:
-            d = np.asarray(durations, dtype=float)
-            if d.ndim != 1 or d.size == 0:
-                raise CalendarError("durations must be a non-empty 1-D array")
-            if d.size > total:
-                raise CalendarError(
-                    f"durations imply up to {d.size} processors but "
-                    f"capacity is {total}"
-                )
-            if not np.all(d > 0):
-                raise CalendarError("all durations must be positive")
-            out.append((float(earliest), d))
+            d = checked_durations(durations, self.capacity)
+            legs: list[npt.NDArray[np.float64]] = []
+            for s in self._shards:
+                starts = np.full(d.size, np.inf)
+                n = min(d.size, s.capacity)
+                starts[:n] = s.earliest_starts_multi(float(earliest), d[:n])
+                legs.append(starts)
+            out.append(np.minimum.reduce(legs))
+        if _obs.ENABLED:
+            _obs.incr("shard.probes", len(self._shards) * len(out))
         return out
-
-    def _probe_shard(
-        self,
-        k: int,
-        reqs: list[tuple[float, npt.NDArray[np.float64]]],
-    ) -> list[npt.NDArray[np.float64]]:
-        """One shard's leg of a fanned-out batch, under its shard scope.
-
-        The leg itself (:func:`repro.shard.pool.probe_leg`: truncate
-        each durations vector to the shard capacity, pad the answer
-        back with ``+inf``) is shared with the pool workers, so serial
-        and pooled answers come from the same code.
-        """
-        if _tl.ENABLED:
-            _tl.push_shard(k)
-        try:
-            return probe_leg(self._shards[k], reqs)
-        finally:
-            if _tl.ENABLED:
-                _tl.pop_shard()
 
     def earliest_completion(
         self,
@@ -498,7 +384,8 @@ class ShardedCalendar:
             return self._shards[0].earliest_completion(
                 earliest, durations, tie_break, probed=probed
             )
-        ((e, d),) = self._checked_requests([(earliest, durations)])
+        d = checked_durations(durations, self.capacity)
+        e = float(earliest)
         if tie_break not in ("fewest", "most"):
             raise CalendarError(
                 f"tie_break must be 'fewest' or 'most', got {tie_break!r}"
@@ -531,28 +418,6 @@ class ShardedCalendar:
         if _obs.ENABLED:
             _obs.incr("shard.probes", len(self._shards))
         return start, m
-
-    def earliest_starts_multi(
-        self,
-        earliest: float,
-        durations: npt.NDArray[np.float64] | Sequence[float],
-        *,
-        m_offset: int = 0,
-    ) -> npt.NDArray[np.float64]:
-        """Single-request form of :meth:`earliest_starts_batch`.
-
-        ``m_offset`` is only supported unsharded (the sharded reduce is
-        defined for counts anchored at 1).
-        """
-        if len(self._shards) == 1:
-            return self._shards[0].earliest_starts_multi(
-                earliest, durations, m_offset=m_offset
-            )
-        if m_offset != 0:
-            raise CalendarError(
-                "m_offset is not supported on a sharded calendar"
-            )
-        return self.earliest_starts_batch([(earliest, durations)])[0]
 
     def probe_shards(
         self,
@@ -871,10 +736,6 @@ class ShardedCalendar:
         dup._fill_rot = self._fill_rot
         dup._parent = self
         dup._tokens = self.generations
-        # Probe-cache entries are immutable and generation-tagged, so
-        # the copy can share them: a tag only matches while the shard
-        # state is exactly the one the legs were computed against.
-        dup._probe_cache = dict(self._probe_cache)
         return dup
 
     def validate_commit(self, staged: "ShardedCalendar") -> None:
@@ -922,7 +783,8 @@ class ShardedCalendar:
             _obs.incr("shard.commits", len(staged._touched))
         if self._pool is not None:
             # Replica logs cannot replay a leg swap op-by-op; reseed
-            # them from the committed state (rare: windowed admission).
+            # them from the committed state (the service and the
+            # windowed stream refuse pools, so only direct callers pay).
             self._pool.record_snapshot(self)
 
     # ------------------------------------------------------------------
@@ -932,8 +794,8 @@ class ShardedCalendar:
     def attach_pool(self, pool: Any | None) -> None:
         """Attach (or detach, with ``None``) a probe fan-out pool.
 
-        The pool must implement ``probe(requests)``, ``record(op)``,
-        and ``record_snapshot(calendar)`` —
+        The pool must implement ``complete(earliest, plan, fewest,
+        trace)``, ``record(op)``, and ``record_snapshot(calendar)`` —
         :class:`repro.shard.pool.ShardProbePool` does.  Results are
         bitwise identical with and without a pool at any worker count.
         """

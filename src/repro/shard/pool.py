@@ -2,9 +2,9 @@
 
 Extends the crash-tolerant parallel runner idea of
 :mod:`repro.experiments.parallel` from "fan out instances" to "fan out
-shards": the per-shard legs of one placement probe (an earliest-
-completion query or a batched earliest-start query) are answered by
-worker processes, each holding a full replica of the shard set.
+shards": the per-shard legs of one earliest-completion probe are
+answered by worker processes, each holding a full replica of the shard
+set.
 
 Replication is a **commit log**, not shared memory: the pool owner
 appends every facade mutation (known-feasible splice, external add,
@@ -35,18 +35,14 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import TYPE_CHECKING, Any
 
-import numpy as np
-import numpy.typing as npt
-
 from repro.calendar import ProbedCount, Reservation, ResourceCalendar
-from repro.calendar import calendar as _calmod
 from repro.calendar.calendar import CompletionOrder
 from repro.errors import ServiceError
 
 if TYPE_CHECKING:  # pragma: no cover — import cycle guard (typing only)
     from repro.shard.calendar import ShardedCalendar
 
-__all__ = ["CompletionLeg", "ShardProbePool", "completion_leg", "probe_leg"]
+__all__ = ["CompletionLeg", "ShardProbePool", "completion_leg"]
 
 #: Frame header: unsigned 64-bit big-endian payload length.
 _LEN = struct.Struct(">Q")
@@ -56,58 +52,6 @@ _Op = tuple[Any, ...]
 
 #: Serialized shard: (capacity, clamp, ((start, end, nprocs, label), ...)).
 _ShardState = tuple[int, bool, tuple[tuple[float, float, int, str], ...]]
-
-#: Calendar tuning gates shipped inside every ``snap`` frame: the bench
-#: harness and experiment drivers rebind these at runtime, so a worker
-#: that kept its import-time defaults would answer probes under a
-#: different configuration than the owner.  Snapshot frames carry the
-#: owner's values and the replay applies them before rebuilding, which
-#: keeps every worker a pure function of the log (REP008).
-_GATES = (
-    "INCREMENTAL_COMMITS",
-    "USE_INDEX",
-    "INDEX_MIN_SEGMENTS",
-    "BATCH_WINDOW_SEGMENTS",
-    "VALIDATE_COMMITS",
-)
-
-#: Gate values in :data:`_GATES` order.
-_GateState = tuple[bool, bool, int, int, bool]
-
-
-def _gate_state() -> _GateState:
-    return (
-        _calmod.INCREMENTAL_COMMITS,
-        _calmod.USE_INDEX,
-        _calmod.INDEX_MIN_SEGMENTS,
-        _calmod.BATCH_WINDOW_SEGMENTS,
-        _calmod.VALIDATE_COMMITS,
-    )
-
-
-def probe_leg(
-    shard: ResourceCalendar,
-    reqs: list[tuple[float, npt.NDArray[np.float64]]],
-) -> list[npt.NDArray[np.float64]]:
-    """One shard's leg of a fanned-out batch probe.
-
-    Truncates each durations vector to the shard capacity and pads the
-    answer back to full length with ``+inf`` — the exact transformation
-    :meth:`ShardedCalendar.earliest_starts_batch` applies serially, so
-    worker answers are interchangeable with serial answers.
-    """
-    cap = shard.capacity
-    truncated = [(e, d if d.size <= cap else d[:cap]) for e, d in reqs]
-    answers = shard.earliest_starts_batch(truncated, prechecked=True)
-    out: list[npt.NDArray[np.float64]] = []
-    for (_, d), starts in zip(reqs, answers):
-        if starts.size < d.size:
-            padded = np.full(d.size, np.inf)
-            padded[: starts.size] = starts
-            starts = padded
-        out.append(starts)
-    return out
-
 
 #: One shard's earliest-completion answer: its ``(start, nprocs)``
 #: (``None`` when nothing beat the competing leg it was given) and the
@@ -138,12 +82,9 @@ def completion_leg(
 def _run_legs(
     shards: list[ResourceCalendar],
     shard_ids: tuple[int, ...],
-    kind: str,
     args: tuple[Any, ...],
-) -> dict[int, Any]:
-    """Answer one probe kind's legs for ``shard_ids``."""
-    if kind == "probe":
-        return {k: probe_leg(shards[k], *args) for k in shard_ids}
+) -> dict[int, CompletionLeg]:
+    """Answer the earliest-completion legs for ``shard_ids``."""
     return {k: completion_leg(shards[k], *args) for k in shard_ids}
 
 
@@ -177,17 +118,7 @@ def _build_replica(state: list[_ShardState]) -> list[ResourceCalendar]:
 def _apply_op(shards: list[ResourceCalendar], op: _Op) -> list[ResourceCalendar]:
     kind = op[0]
     if kind == "snap":
-        _, state, gates = op
-        # Adopt the owner's calendar gates before rebuilding so the
-        # replica compiles and probes under the same configuration.
-        (
-            _calmod.INCREMENTAL_COMMITS,
-            _calmod.USE_INDEX,
-            _calmod.INDEX_MIN_SEGMENTS,
-            _calmod.BATCH_WINDOW_SEGMENTS,
-            _calmod.VALIDATE_COMMITS,
-        ) = gates
-        return _build_replica(state)
+        return _build_replica(op[1])
     if kind == "rkf":
         _, k, start, dur, nprocs, label = op
         shards[k].reserve_known_feasible(start, dur, nprocs, label)
@@ -229,11 +160,10 @@ def _worker_legs(
     log_path: str,
     upto: int,
     shard_ids: tuple[int, ...],
-    kind: str,
     args: tuple[Any, ...],
-) -> dict[int, Any]:
+) -> dict[int, CompletionLeg]:
     """Answer the probe legs for ``shard_ids`` against the synced replica."""
-    return _run_legs(_sync_replica(log_path, upto), shard_ids, kind, args)
+    return _run_legs(_sync_replica(log_path, upto), shard_ids, args)
 
 
 class ShardProbePool:
@@ -273,9 +203,8 @@ class ShardProbePool:
         self._append(op)
 
     def record_snapshot(self, calendar: "ShardedCalendar") -> None:
-        """Reseed the replicas with the calendar's full current state
-        (shard contents plus the owner's calendar tuning gates)."""
-        self._append(("snap", _snapshot_state(calendar.shards), _gate_state()))
+        """Reseed the replicas with the calendar's full current state."""
+        self._append(("snap", _snapshot_state(calendar.shards)))
 
     # -- probes ---------------------------------------------------------
 
@@ -284,7 +213,7 @@ class ShardProbePool:
             self._pool = ProcessPoolExecutor(max_workers=self._n_workers)
         return self._pool
 
-    def _fan_out(self, kind: str, args: tuple[Any, ...]) -> list[Any]:
+    def _fan_out(self, args: tuple[Any, ...]) -> list[CompletionLeg]:
         """Fan one probe's legs out; returns per-shard answers by id.
 
         Shards are dealt to ``min(n_workers, n_shards)`` chunks by
@@ -305,12 +234,11 @@ class ShardProbePool:
                 pool = self._executor()
                 futures = [
                     pool.submit(
-                        _worker_legs, self._log_path, self._offset, ids,
-                        kind, args,
+                        _worker_legs, self._log_path, self._offset, ids, args
                     )
                     for ids in chunks
                 ]
-                merged: dict[int, Any] = {}
+                merged: dict[int, CompletionLeg] = {}
                 for fut in futures:
                     merged.update(fut.result())
                 return [merged[k] for k in range(n_shards)]
@@ -321,22 +249,16 @@ class ShardProbePool:
                 if attempt == 1:
                     break
         merged = _run_legs(
-            list(self._calendar.shards), tuple(range(n_shards)), kind, args
+            list(self._calendar.shards), tuple(range(n_shards)), args
         )
         return [merged[k] for k in range(n_shards)]
-
-    def probe(
-        self, reqs: list[tuple[float, npt.NDArray[np.float64]]]
-    ) -> list[list[npt.NDArray[np.float64]]]:
-        """Batch-probe legs (:func:`probe_leg`), per shard by id."""
-        return self._fan_out("probe", (reqs,))
 
     def complete(
         self, earliest: float, plan: CompletionOrder, fewest: bool, trace: bool
     ) -> list[CompletionLeg]:
         """Earliest-completion legs (:func:`completion_leg`), per shard
         by id."""
-        return self._fan_out("complete", (earliest, plan, fewest, trace))
+        return self._fan_out((earliest, plan, fewest, trace))
 
     # -- lifecycle ------------------------------------------------------
 

@@ -12,6 +12,8 @@ here Hypothesis hammers the primitives directly.
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -42,38 +44,39 @@ def _build(cap, spec, splice):
 
     ``splice=True`` drives every add through the incremental splice
     (profile compiled eagerly at construction); ``splice=False`` builds
-    in one recompile, giving reference profiles from the other path.
+    the calendar fresh in one compile, giving reference profiles from
+    the other path.
     """
-    cal = ResourceCalendar(cap, clamp=True, incremental=splice)
-    for start, width, m in spec:
-        cal.add(
-            Reservation(start=start, end=start + width, nprocs=min(m, cap))
-        )
+    res = [
+        Reservation(start=start, end=start + width, nprocs=min(m, cap))
+        for start, width, m in spec
+    ]
+    if not splice:
+        return ResourceCalendar(cap, res, clamp=True)
+    cal = ResourceCalendar(cap, clamp=True)
+    for r in res:
+        cal.add(r)
     return cal
 
 
 class _Forced:
     """Force the indexed path regardless of profile size."""
 
+    threshold = 0
+
     def __enter__(self):
-        self._flag, self._thresh = calmod.USE_INDEX, calmod.INDEX_MIN_SEGMENTS
-        calmod.USE_INDEX, calmod.INDEX_MIN_SEGMENTS = True, 0
+        self._saved = calmod.INDEX_MIN_SEGMENTS
+        calmod.INDEX_MIN_SEGMENTS = self.threshold
         return self
 
     def __exit__(self, *exc):
-        calmod.USE_INDEX, calmod.INDEX_MIN_SEGMENTS = self._flag, self._thresh
+        calmod.INDEX_MIN_SEGMENTS = self._saved
 
 
-class _Linear:
-    """Force the linear reference path."""
+class _Linear(_Forced):
+    """Force the linear reference path (threshold above any profile)."""
 
-    def __enter__(self):
-        self._flag = calmod.USE_INDEX
-        calmod.USE_INDEX = False
-        return self
-
-    def __exit__(self, *exc):
-        calmod.USE_INDEX = self._flag
+    threshold = sys.maxsize
 
 
 class TestIndexedVsLinear:

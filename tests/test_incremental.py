@@ -13,7 +13,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.calendar.calendar as calmod
 from repro.calendar import Reservation, ResourceCalendar
 from repro.core import (
     RESSCHED_ALGORITHMS,
@@ -287,43 +286,23 @@ class TestBatchQuery:
                 pass  # overfull draw — keep the calendar busy but valid
         return cal
 
-    @given(
-        seed=st.integers(0, 200),
-        n_reqs=st.integers(1, 6),
-        window=st.sampled_from([1, 2, 7, 64]),
-    )
+    @given(seed=st.integers(0, 200), n_reqs=st.integers(1, 6))
     @settings(max_examples=80, deadline=None)
-    def test_batch_matches_multi_bitwise(self, seed, n_reqs, window):
-        saved = calmod.BATCH_WINDOW_SEGMENTS
-        calmod.BATCH_WINDOW_SEGMENTS = window
-        try:
-            cal = self._calendar(seed)
-            rng = make_rng(seed + 1)
-            requests = [
-                (
-                    float(rng.uniform(0.0, 40_000.0)),
-                    rng.uniform(50.0, 6_000.0, size=int(rng.integers(1, 16))),
-                )
-                for _ in range(n_reqs)
-            ]
-            batch = cal.earliest_starts_batch(requests)
-            cal._multi_cache = {}  # force the per-call kernel to recompute
-            for (earliest, durations), got in zip(requests, batch):
-                expect = cal.earliest_starts_multi(earliest, durations)
-                assert np.array_equal(got, expect)
-        finally:
-            calmod.BATCH_WINDOW_SEGMENTS = saved
-
-    def test_tiny_window_forces_escalation_same_bits(self, monkeypatch):
-        """window=1 maximizes escalation passes; results must not move."""
-        cal = self._calendar(99)
-        requests = [(100.0, np.linspace(100.0, 9_000.0, 12))]
-        reference = cal.earliest_starts_batch(requests)[0]
-        monkeypatch.setattr(calmod, "BATCH_WINDOW_SEGMENTS", 1)
-        cal._multi_cache = {}
-        assert np.array_equal(
-            cal.earliest_starts_batch(requests)[0], reference
-        )
+    def test_batch_matches_multi_bitwise(self, seed, n_reqs):
+        cal = self._calendar(seed)
+        rng = make_rng(seed + 1)
+        requests = [
+            (
+                float(rng.uniform(0.0, 40_000.0)),
+                rng.uniform(50.0, 6_000.0, size=int(rng.integers(1, 16))),
+            )
+            for _ in range(n_reqs)
+        ]
+        batch = cal.earliest_starts_batch(requests)
+        cal._multi_cache = {}  # force the per-call kernel to recompute
+        for (earliest, durations), got in zip(requests, batch):
+            expect = cal.earliest_starts_multi(earliest, durations)
+            assert np.array_equal(got, expect)
 
     def test_memo_interop_both_directions(self):
         cal = self._calendar(7)

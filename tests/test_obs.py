@@ -677,7 +677,7 @@ class TestCacheCounters:
 
     def test_free_runs_memo_counters(self, busy_calendar, monkeypatch):
         # Force the linear path so scalar queries go through _free_runs.
-        monkeypatch.setattr(calmod, "USE_INDEX", False)
+        monkeypatch.setattr(calmod, "INDEX_MIN_SEGMENTS", sys.maxsize)
         cal = busy_calendar.copy()
         with obs.instrumented() as col:
             cal.earliest_start(0.0, 10.0, 4)   # runs miss

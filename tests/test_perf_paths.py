@@ -31,7 +31,7 @@ from repro.calendar import Reservation, ResourceCalendar, StepFunction
 from repro.cli import build_parser
 from repro.cpa.allocation import cpa_allocation
 from repro.dag import DagGenParams, TaskGraph, random_task_graph
-from repro.errors import GenerationError
+from repro.errors import CalendarError, GenerationError
 from repro.experiments.parallel import map_stream
 from repro.experiments.scenarios import ExperimentScale
 from repro.experiments.table4 import format_table4, run_table4
@@ -160,13 +160,12 @@ class TestIncrementalProfile:
     @settings(max_examples=100, deadline=None)
     @given(spec=reservation_lists)
     def test_incremental_commits_equal_full_recompile(self, spec):
-        inc = ResourceCalendar(CAPACITY, clamp=True, incremental=True)
-        full = ResourceCalendar(CAPACITY, clamp=True, incremental=False)
-        inc.availability()  # pre-compile so every add goes through the splice
+        # The constructor compiles the profile, so every add splices; a
+        # freshly built calendar is the full-recompile reference.
+        inc = ResourceCalendar(CAPACITY, clamp=True)
         for start, dur, nprocs in spec:
-            r = Reservation(float(start), float(start + dur), nprocs)
-            inc.add(r)
-            full.add(r)
+            inc.add(Reservation(float(start), float(start + dur), nprocs))
+            full = ResourceCalendar(CAPACITY, inc.reservations, clamp=True)
             assert inc.availability() == full.availability()
 
 
@@ -276,25 +275,37 @@ class TestBenchHarness:
 
     def test_seed_baseline_restores_everything(self):
         flags = (
-            calmod.INCREMENTAL_COMMITS,
+            calmod.INDEX_MIN_SEGMENTS,
             calmod.VALIDATE_COMMITS,
             allocmod.INCREMENTAL_LEVELS,
         )
         methods = (
             TaskGraph.bottom_levels,
             ResourceCalendar.earliest_starts_multi,
+            ResourceCalendar.add,
+            ResourceCalendar.reserve_known_feasible,
         )
         with seed_baseline():
-            assert calmod.INCREMENTAL_COMMITS is False
             assert allocmod.INCREMENTAL_LEVELS is False
             assert TaskGraph.bottom_levels is not methods[0]
+            assert ResourceCalendar.add is not methods[2]
+            assert ResourceCalendar.reserve_known_feasible is not methods[3]
+            # The seed commits recompile the whole profile: a strict
+            # known-feasible commit that overflows now raises.
+            cal = ResourceCalendar(4)
+            cal.reserve_known_feasible(0.0, 10.0, 3)
+            with pytest.raises(CalendarError):
+                cal.reserve_known_feasible(5.0, 10.0, 2)
+            assert len(cal) == 1
         assert flags == (
-            calmod.INCREMENTAL_COMMITS,
+            calmod.INDEX_MIN_SEGMENTS,
             calmod.VALIDATE_COMMITS,
             allocmod.INCREMENTAL_LEVELS,
         )
         assert TaskGraph.bottom_levels is methods[0]
         assert ResourceCalendar.earliest_starts_multi is methods[1]
+        assert ResourceCalendar.add is methods[2]
+        assert ResourceCalendar.reserve_known_feasible is methods[3]
 
     def test_seed_baseline_produces_identical_schedules(self):
         with seed_baseline():

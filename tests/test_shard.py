@@ -1,11 +1,11 @@
 """Tests for the sharded calendar engine (repro.shard).
 
 Covers the partitioning/water-filling invariants, the deterministic
-probe fan-out/reduce (including the generation-tagged facade probe
-cache), the two-phase cross-shard commit protocol, the K = 1 bitwise
-reduction to the unsharded engine (stream and service), whole-shard
-downtime faults forcing cross-shard repair, and process-pool probe
-fan-out digest equality.
+probe fan-out/reduce, the two-phase cross-shard commit protocol, the
+K = 1 bitwise reduction to the unsharded engine (stream and service),
+whole-shard downtime faults forcing cross-shard repair, process-pool
+probe fan-out digest equality, and the refusal of probe workers where
+planning runs on staged copies.
 """
 
 from __future__ import annotations
@@ -15,16 +15,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.calendar.calendar as calmod
 from repro import obs
 from repro.calendar import Reservation, ResourceCalendar
 from repro.dag import DagGenParams, random_task_graph
-from repro.errors import CalendarError, ShardCommitError
+from repro.errors import CalendarError, ServiceError, ShardCommitError
 from repro.experiments.stream import StreamRequest, StreamScheduler
 from repro.obs import core as obs_core
 from repro.resilience.faults import FaultModel
 from repro.rng import make_rng
 from repro.service import ReservationService
-from repro.shard import ShardedCalendar, shard_capacities
+from repro.shard import ShardedCalendar, ShardProbePool, shard_capacities
 from repro.workloads.reservations import ReservationScenario
 
 
@@ -167,33 +168,6 @@ class TestProbeReduce:
                 starts[:cap] = s.earliest_starts_multi(e, d[:cap])
                 legs.append(starts)
             assert np.array_equal(got, np.minimum.reduce(legs))
-
-    def test_probe_cache_serves_identical_answers_after_commit(self):
-        sharded = ShardedCalendar.partition(32, _reservations(), n_shards=4)
-        batch = self._batch(m=8)
-        first = sharded.earliest_starts_batch(batch)
-        # Commit into one shard; cached legs for the other shards stay
-        # valid, the touched shard's leg re-probes.
-        t = float(first[0][0])
-        sharded.reserve_known_feasible(t, 500.0, 1, label="x")
-        cached = sharded.earliest_starts_batch(batch)
-        cold = ShardedCalendar([s.copy() for s in sharded.shards])
-        fresh = cold.earliest_starts_batch(batch)
-        for a, b in zip(cached, fresh):
-            assert np.array_equal(a, b)
-
-    def test_probe_cache_hits_are_counted(self):
-        sharded = ShardedCalendar.partition(32, _reservations(), n_shards=4)
-        batch = self._batch(m=8)
-        sharded.earliest_starts_batch(batch)
-        obs_core.enable()
-        try:
-            with obs.collecting() as col:
-                sharded.earliest_starts_batch(batch)
-        finally:
-            obs_core.disable()
-        assert col.counters["cache.shard.probe.hit"] == 4 * len(batch)
-        assert col.counters["cache.shard.probe.miss"] == 0
 
     def test_scalar_earliest_start_matches_min_over_shards(self):
         sharded = ShardedCalendar.partition(32, _reservations(), n_shards=4)
@@ -351,3 +325,61 @@ class TestProbePool:
         finally:
             pooled_engine.close()
         assert pooled.digest() == serial.digest()
+
+    def _flip_owner_switches(self, monkeypatch):
+        # Force the tree walks and strict commit validation on the owner
+        # only: the workers are already running, so they keep the
+        # import-time values.
+        monkeypatch.setattr(calmod, "INDEX_MIN_SEGMENTS", 0)
+        monkeypatch.setattr(calmod, "VALIDATE_COMMITS", True)
+
+    def test_pooled_legs_ignore_owner_calendar_switches(self, monkeypatch):
+        serial = ShardedCalendar.partition(32, _reservations(), n_shards=4)
+        pooled = ShardedCalendar.partition(32, _reservations(), n_shards=4)
+        rng = make_rng(12)
+        probes = [
+            (
+                float(rng.uniform(0.0, 20_000.0)),
+                np.asarray(rng.uniform(100.0, 5_000.0, size=20)),
+            )
+            for _ in range(3)
+        ]
+        with ShardProbePool(pooled, 2) as pool:
+            pooled.attach_pool(pool)
+            pooled.earliest_completion(*probes[0])  # start the workers
+            self._flip_owner_switches(monkeypatch)
+            for tie_break in ("fewest", "most"):
+                for earliest, d in probes:
+                    got = pooled.earliest_completion(earliest, d, tie_break)
+                    assert got == serial.earliest_completion(
+                        earliest, d, tie_break
+                    )
+                    # Both commit the answer; the workers replay it
+                    # under their own switches.
+                    start, m = got
+                    for cal in (pooled, serial):
+                        cal.reserve_known_feasible(start, float(d[m - 1]), m)
+            pooled.attach_pool(None)
+
+    def test_pooled_stream_digest_ignores_owner_calendar_switches(
+        self, monkeypatch
+    ):
+        serial = StreamScheduler(_scenario(), shards=4).run(_requests())
+        engine = StreamScheduler(_scenario(), shards=4, shard_workers=2)
+        try:
+            engine.calendar.earliest_completion(0.0, [100.0])  # start workers
+            self._flip_owner_switches(monkeypatch)
+            pooled = engine.run(_requests())
+        finally:
+            engine.close()
+        assert pooled.digest() == serial.digest()
+
+    def test_service_refuses_probe_workers(self):
+        with pytest.raises(ServiceError, match="staged calendar copy"):
+            ReservationService(_scenario(), shards=4, shard_workers=2)
+
+    def test_windowed_stream_refuses_probe_workers(self):
+        with pytest.raises(ServiceError, match="admission_window"):
+            StreamScheduler(
+                _scenario(), admission_window=600.0, shards=4, shard_workers=2
+            )

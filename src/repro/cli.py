@@ -377,17 +377,12 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     requests = requests_from_specs(specs, graphs)
 
     def _run():
-        scheduler = StreamScheduler(
+        return StreamScheduler(
             scenario,
             algorithm,
             admission_window=args.admission_window,
             shards=args.shards,
-            shard_workers=args.shard_workers,
-        )
-        try:
-            return scheduler.run(requests)
-        finally:
-            scheduler.close()
+        ).run(requests)
 
     meta = {
         "requests": str(args.requests),
@@ -472,7 +467,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
 
     def _run():
-        service = ReservationService(
+        return ReservationService(
             scenario,
             algorithm,
             config=config,
@@ -482,11 +477,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             dead_letter_path=args.dead_letter,
             shards=args.shards,
             shard_workers=args.shard_workers,
-        )
-        try:
-            return service.run(requests, stop_after=args.stop_after)
-        finally:
-            service.close()
+        ).run(requests, stop_after=args.stop_after)
 
     meta = {
         "requests": str(args.requests),
@@ -798,11 +789,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="partition the platform into this many calendar shards "
         "(default: unsharded; --shards 1 is bitwise identical)",
     )
-    p.add_argument(
-        "--shard-workers", type=int, default=0, dest="shard_workers",
-        help="probe fan-out worker processes (0 = serial fan-out; "
-        "any count is bitwise identical; not with --admission-window)",
-    )
     p.set_defaults(func=_cmd_stream)
 
     p = sub.add_parser(
@@ -900,8 +886,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--shard-workers", type=int, default=0, dest="shard_workers",
-        help="must be 0 (serial probe fan-out): the service plans every "
-        "admission on a staged calendar copy, and copies probe serially",
+        help="must be 0; shard probes always fan out serially (the "
+        "flag is accepted for existing command lines)",
     )
     p.set_defaults(func=_cmd_serve)
 

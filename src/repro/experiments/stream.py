@@ -56,7 +56,7 @@ import hashlib
 from repro.calendar import ResourceCalendar
 from repro.core.incremental import PlanMemo, schedule_ressched_incremental
 from repro.core.ressched import ResSchedAlgorithm, schedule_ressched
-from repro.shard import ShardedCalendar, ShardProbePool
+from repro.shard import ShardedCalendar
 from repro.dag import TaskGraph
 from repro.errors import ServiceError
 from repro.obs import core as _obs
@@ -164,8 +164,7 @@ class StreamReport:
         placement's ``(task, start, nprocs, duration)`` — exactly the
         compute-derived results, no wall-clock measurements.  Two runs
         with the same digest placed every task identically; the K=1
-        sharded-vs-unsharded and pooled-vs-serial equivalences are
-        asserted on this value.
+        sharded-vs-unsharded equivalence is asserted on this value.
         """
         h = hashlib.sha256()
         for o in self.outcomes:
@@ -233,13 +232,6 @@ class StreamScheduler:
             hosted wholly by one shard).  ``shards=1`` is bitwise
             identical to the unsharded engine — the facade
             short-circuits to its single shard.
-        shard_workers: With ``shards``, fan the per-shard probe legs out
-            to this many worker processes via
-            :class:`~repro.shard.ShardProbePool` (0 = serial fan-out).
-            Results are bitwise identical at any worker count; call
-            :meth:`close` when done to release the workers.  Requires
-            ``admission_window=None``: a windowed stream plans every
-            request on a staged copy, and copies probe serially.
         calendar: Optional pre-built booking calendar to adopt instead
             of constructing one from the scenario — it must cover the
             scenario's capacity and competing reservations (the caller
@@ -260,23 +252,11 @@ class StreamScheduler:
         memo: PlanMemo | None = None,
         admission_window: float | None = None,
         shards: int | None = None,
-        shard_workers: int = 0,
         calendar: "ResourceCalendar | ShardedCalendar | None" = None,
     ):
         if admission_window is not None and not admission_window >= 0:
             raise ServiceError(
                 f"admission_window must be >= 0, got {admission_window}"
-            )
-        if shards is None and shard_workers:
-            raise ServiceError(
-                "shard_workers requires a sharded calendar (shards >= 1)"
-            )
-        if admission_window is not None and shard_workers:
-            raise ServiceError(
-                f"shard_workers={shard_workers} needs admission_window="
-                "None: a windowed stream plans every request on a staged "
-                "calendar copy, and copies probe serially, so the worker "
-                "pool would never answer a probe"
             )
         if calendar is not None and shards is not None:
             raise ServiceError(
@@ -290,7 +270,6 @@ class StreamScheduler:
         self._admission_window = (
             None if admission_window is None else float(admission_window)
         )
-        self._pool: ShardProbePool | None = None
         if calendar is not None:
             self._calendar = calendar
         elif shards is None:
@@ -301,9 +280,6 @@ class StreamScheduler:
                 scenario.reservations,
                 n_shards=int(shards),
             )
-            if shard_workers:
-                self._pool = ShardProbePool(self._calendar, int(shard_workers))
-                self._calendar.attach_pool(self._pool)
         self._calendar.availability()  # pre-compile once for the stream
         self._last_offset = 0.0
         self._outcomes: list[StreamOutcome] = []
@@ -317,12 +293,6 @@ class StreamScheduler:
     def calendar(self) -> "ResourceCalendar | ShardedCalendar":
         """The shared calendar holding everything booked so far."""
         return self._calendar
-
-    def close(self) -> None:
-        """Release the shard probe pool, if one was created."""
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
 
     @property
     def outcomes(self) -> tuple[StreamOutcome, ...]:

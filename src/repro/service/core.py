@@ -41,8 +41,8 @@ the service's placements are bitwise-identical to
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass, field, fields
+from typing import Any, Sequence
 
 from repro.calendar import Reservation, ResourceCalendar
 from repro.core.incremental import PlanMemo
@@ -60,7 +60,7 @@ from repro.obs import stopwatch
 from repro.obs import timeline as _tl
 from repro.resilience.faults import FaultEvent, FaultModel, generate_faults
 from repro.rng import derive_rng
-from repro.schedule import Schedule
+from repro.schedule import Schedule, TaskPlacement
 from repro.service.config import ServiceConfig
 from repro.service.journal import (
     DeadLetter,
@@ -235,6 +235,9 @@ class _Committed:
     arrival: float
     #: task index -> the task's current calendar reservation.
     reservations: dict[int, Reservation] = field(default_factory=dict)
+    #: Sharded services: the shard each placement was committed to at
+    #: admission, in placement order (journaled with the outcome).
+    hosts: Sequence[int] | None = None
 
     @property
     def first_start(self) -> float:
@@ -293,9 +296,10 @@ class ReservationService:
             are hosted wholly by a deterministic shard (trace index mod
             K) so repairs rebook across shards.  ``shards=1`` reduces
             bitwise to the unsharded service.
-        shard_workers: Must be 0 (serial probe fan-out).  The service
-            plans every admission on a staged calendar copy, and copies
-            probe serially, so probe workers would never answer a probe;
+            A sharded journal records the shard that hosted each
+            admitted placement, so a resumed run re-commits it there.
+        shard_workers: Must be 0: shard probes always fan out serially.
+            Accepted so existing callers and command lines keep working;
             any other value raises :class:`~repro.errors.ServiceError`.
     """
 
@@ -317,15 +321,21 @@ class ReservationService:
     ) -> None:
         if shard_workers:
             raise ServiceError(
-                f"shard_workers={shard_workers} is not supported: the "
-                "service plans every admission on a staged calendar copy, "
-                "and copies probe serially, so the worker pool would never "
-                "answer a probe (use shard_workers=0)"
+                f"shard_workers={shard_workers} is not supported: shard "
+                "probes always fan out serially (use shard_workers=0)"
             )
         self._scenario = scenario
         self._config = ServiceConfig() if config is None else config
         self._fault_model = fault_model
         self._seed = int(seed)
+        # Planning inputs the journal fingerprint pins.
+        self._planning = (
+            algorithm.bl,
+            algorithm.bd,
+            tie_break,
+            cpa_stopping,
+            shards,
+        )
         self._scheduler = StreamScheduler(
             scenario,
             algorithm,
@@ -372,8 +382,9 @@ class ReservationService:
         return self._scheduler.calendar
 
     def close(self) -> None:
-        """Release the wrapped engine's resources."""
-        self._scheduler.close()
+        """Does nothing: the service holds no resources between calls
+        (every journal write opens and closes its file).  Kept so
+        callers that close a service keep working."""
 
     @property
     def config(self) -> ServiceConfig:
@@ -448,9 +459,31 @@ class ReservationService:
         return generate_faults(self._scenario, model, rng, horizon=horizon)
 
     def _fingerprint(self, requests: Sequence[StreamRequest]) -> str:
-        """Content hash of the run's deterministic inputs; the journal
-        header pins it so a journal never resumes a different stream."""
+        """Content hash of every input that decides the run's outcomes;
+        the journal header pins it so a journal never resumes a
+        different run.
+
+        Covers the requests, the scenario, the planning inputs
+        (algorithm, tie-break, CPA stopping rule, shard count), the
+        seed, the whole fault model and every :class:`ServiceConfig`
+        field.  ``shard_workers``, the plan memo and the file paths do
+        not change outcomes and are left out.
+        """
         h = hashlib.sha256()
+        sc = self._scenario
+        h.update(
+            repr(
+                (
+                    sc.capacity,
+                    sc.now,
+                    sc.hist_avg_available,
+                    [
+                        (r.start, r.end, r.nprocs, r.label)
+                        for r in sc.reservations
+                    ],
+                )
+            ).encode()
+        )
         for r in requests:
             h.update(
                 repr(
@@ -464,24 +497,14 @@ class ReservationService:
                     )
                 ).encode()
             )
-        model = self._fault_model
+        config: dict[str, Any] = {
+            f.name: getattr(self._config, f.name)
+            for f in fields(self._config)
+        }
+        config["quotas"] = sorted(config["quotas"].items())
         h.update(
             repr(
-                (
-                    self._seed,
-                    None
-                    if model is None
-                    else (
-                        model.arrivals_per_day,
-                        model.cancels_per_day,
-                        model.downtimes_per_day,
-                    ),
-                    self._config.admission_window,
-                    self._config.shed_backlog,
-                    self._config.commit_latency,
-                    self._config.commit_retry_cap,
-                    self._config.fault_slack,
-                )
+                (self._planning, self._seed, self._fault_model, config)
             ).encode()
         )
         return h.hexdigest()
@@ -520,7 +543,10 @@ class ReservationService:
         outcome = self._admit(request, arrival)
         self._outcomes.append(outcome)
         if self._journal is not None:
-            self._journal.record_outcome(outcome)
+            hosts = None
+            if outcome.admitted:
+                hosts = self._committed[request.request_id].hosts
+            self._journal.record_outcome(outcome, hosts)
 
     def _admit(
         self, request: StreamRequest, arrival: float
@@ -644,7 +670,9 @@ class ReservationService:
                     retries=conflicts,
                 )
         self._scheduler.adopt(target)
-        self._register(request, arrival, schedule)
+        committed = self._register(request, arrival, schedule)
+        if isinstance(target, ShardedCalendar):
+            committed.hosts = target.hosts(committed.reservations.values())
         if _obs.ENABLED:
             _obs.incr("service.admitted")
         if _tl.ENABLED:
@@ -770,15 +798,17 @@ class ReservationService:
 
     def _register(
         self, request: StreamRequest, arrival: float, schedule: Schedule
-    ) -> None:
+    ) -> _Committed:
         reservations = {
             p.task: p.as_reservation(request.graph.task(p.task).name)
             for p in schedule.placements
         }
-        self._committed[request.request_id] = _Committed(
+        committed = _Committed(
             request=request, arrival=arrival, reservations=reservations
         )
+        self._committed[request.request_id] = committed
         self._order.append(request.request_id)
+        return committed
 
     # ------------------------------------------------------------------
     # Fault application
@@ -1066,27 +1096,39 @@ class ReservationService:
                     self._fault_pos = idx + 1
                 elif rec.get("type") == "outcome":
                     outcome = decode_payload(rec["payload"])
-                    self._replay_outcome(outcome)
+                    self._replay_outcome(outcome, rec.get("shards"))
         finally:
             self._restoring = False
         if _obs.ENABLED and self._done:
             _obs.incr("service.resumed", self._done)
 
-    def _replay_outcome(self, outcome: ServiceOutcome) -> None:
+    def _replay_outcome(
+        self, outcome: ServiceOutcome, hosts: list[int] | None
+    ) -> None:
         """Re-apply one checkpointed disposition without recomputing
         it: admissions re-commit their placements, quarantines re-enter
-        the dead-letter list (the on-disk log already has them)."""
+        the dead-letter list (the on-disk log already has them).
+
+        A sharded admission re-commits each placement into the shard
+        the journal says hosted it, with a strict commit: routing it
+        afresh could pick another shard, because the original commit
+        ran in the engine's order on a staged copy.
+        """
         request = outcome.request
         self._last_offset = float(request.arrival_offset)
         if outcome.admitted and outcome.schedule is not None:
             cal = self._scheduler.calendar
-            for p in outcome.schedule.placements:
-                cal.reserve_known_feasible(
-                    p.start,
-                    p.duration,
-                    p.nprocs,
-                    label=request.graph.task(p.task).name,
-                )
+            placements = outcome.schedule.placements
+            if isinstance(cal, ShardedCalendar):
+                self._replay_sharded(request, placements, hosts, cal)
+            else:
+                for p in placements:
+                    cal.reserve_known_feasible(
+                        p.start,
+                        p.duration,
+                        p.nprocs,
+                        label=request.graph.task(p.task).name,
+                    )
             self._register(request, outcome.arrival, outcome.schedule)
         elif outcome.status == "dead-letter":
             self._dead_letters.append(
@@ -1100,3 +1142,40 @@ class ReservationService:
             )
         self._outcomes.append(outcome)
         self._done += 1
+
+    @staticmethod
+    def _replay_sharded(
+        request: StreamRequest,
+        placements: Sequence[TaskPlacement],
+        hosts: list[int] | None,
+        cal: ShardedCalendar,
+    ) -> None:
+        """Strictly re-commit a journaled sharded admission into its
+        recorded hosting shards; a journal that disagrees with the
+        calendar raises instead of over-booking a shard."""
+        rid = request.request_id
+        if hosts is None or len(hosts) != len(placements):
+            raise ServiceError(
+                f"journal outcome {rid!r} records "
+                f"{'no' if hosts is None else len(hosts)} hosting shards "
+                f"for {len(placements)} placements"
+            )
+        for p, k in zip(placements, hosts):
+            if not (isinstance(k, int) and 0 <= k < cal.n_shards):
+                raise ServiceError(
+                    f"journal outcome {rid!r} places task {p.task} on "
+                    f"shard {k!r}; the calendar has {cal.n_shards} shards"
+                )
+            try:
+                cal.reserve_in(
+                    k,
+                    p.start,
+                    p.duration,
+                    p.nprocs,
+                    label=request.graph.task(p.task).name,
+                )
+            except CalendarError as exc:
+                raise ServiceError(
+                    f"journal outcome {rid!r}: task {p.task} does not fit "
+                    f"its recorded shard {k}: {exc}"
+                ) from None

@@ -7,11 +7,12 @@ service restarted over the same journal replays the records to rebuild
 its booking state bitwise and continues from the first unprocessed
 request; the resumed run is indistinguishable from an uninterrupted one.
 
-The journal header carries a *fingerprint* of the run's deterministic
-inputs (requests, seed, fault model, config), so a journal can never be
-replayed against a different stream: a mismatch raises
-:class:`~repro.errors.ServiceError` instead of silently producing a
-franken-state.
+The journal header carries a *fingerprint* of every input that decides
+the run's outcomes (requests, scenario, planning inputs, seed, fault
+model, config), so a journal can never be replayed against a different
+run: a mismatch raises :class:`~repro.errors.ServiceError` instead of
+silently producing a franken-state.  A sharded service's outcome records
+also carry the shard that hosted each admitted placement.
 
 Requests that repeatedly raise (poison requests) or exhaust their
 commit-retry budget are *quarantined*: recorded as :class:`DeadLetter`
@@ -26,7 +27,7 @@ import json
 import os
 import pickle
 from dataclasses import asdict, dataclass
-from typing import Any, Iterator
+from typing import Any, Iterator, Sequence
 
 from repro.errors import ServiceError
 
@@ -71,15 +72,18 @@ class DeadLetter:
 class ServiceJournal:
     """Append-only, fsync'd JSON-lines checkpoint of a service run.
 
-    Line 1 is a header naming the format and the run fingerprint; each
-    subsequent line is one processed record (``outcome`` or ``fault``) in
-    the exact order the service processed it.  Loading tolerates a
-    truncated final line — a crash may have interrupted the last write;
-    everything before it is trusted.
+    Line 1 is a header naming the format, its version and the run
+    fingerprint; each subsequent line is one processed record
+    (``outcome`` or ``fault``) in the exact order the service processed
+    it.  Loading tolerates a truncated final line — a crash may have
+    interrupted the last write; everything before it is trusted.
+
+    Version 2 adds ``shards`` to the outcome records of sharded
+    services: the hosting shard of each placement, in placement order.
     """
 
     FORMAT = "repro-service-journal"
-    VERSION = 1
+    VERSION = 2
 
     def __init__(self, path: str) -> None:
         self.path = path
@@ -100,8 +104,9 @@ class ServiceJournal:
 
         Raises:
             ServiceError: If the file exists but is not a service
-                journal, or its fingerprint disagrees with this run's —
-                replaying it would rebuild state for a different stream.
+                journal, was written in another journal version, or its
+                fingerprint disagrees with this run's — replaying it
+                would rebuild state for a different run.
         """
         if not os.path.exists(self.path):
             self._append(
@@ -134,12 +139,17 @@ class ServiceJournal:
                 f"{self.path}: unexpected journal format "
                 f"{header.get('format')!r}"
             )
+        if header.get("version") != self.VERSION:
+            raise ServiceError(
+                f"{self.path}: journal version {header.get('version')!r} "
+                f"cannot be resumed by journal version {self.VERSION}"
+            )
         if header.get("fingerprint") != fingerprint:
             raise ServiceError(
                 f"{self.path}: journal fingerprint "
                 f"{header.get('fingerprint')!r} does not match this "
                 f"run's {fingerprint!r}; refusing to resume a different "
-                "stream"
+                "run"
             )
         self._records = []
         for line in lines[1:]:
@@ -156,9 +166,18 @@ class ServiceJournal:
             fh.flush()
             os.fsync(fh.fileno())
 
-    def record_outcome(self, outcome: Any) -> None:
-        """Checkpoint one processed request outcome."""
-        self._append({"type": "outcome", "payload": encode_payload(outcome)})
+    def record_outcome(
+        self, outcome: Any, shards: Sequence[int] | None = None
+    ) -> None:
+        """Checkpoint one processed request outcome; ``shards`` lists
+        the hosting shard of each placement of a sharded admission."""
+        rec: dict[str, Any] = {
+            "type": "outcome",
+            "payload": encode_payload(outcome),
+        }
+        if shards is not None:
+            rec["shards"] = list(shards)
+        self._append(rec)
 
     def record_fault(self, idx: int) -> None:
         """Checkpoint that fault ``idx`` of the deterministic trace was

@@ -18,8 +18,7 @@ generation counter — and recovers the calendar API on top:
   per shard (missing processor counts padded with ``+inf``) and
   reduces elementwise by ``(earliest_start, shard_id)``: the minimum
   start wins, ties go to the lowest shard id.  Both reductions are pure
-  functions of the shard answers, so serial and process-pool fan-out
-  are bitwise identical.
+  functions of the shard answers.
 
 * **Commits route to one shard.**  A placement the probe reduce
   reported feasible is hosted *wholly* by one shard;
@@ -57,7 +56,7 @@ from __future__ import annotations
 
 import numpy as np
 import numpy.typing as npt
-from typing import Any, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from repro.calendar import (
     ProbedCount,
@@ -69,7 +68,6 @@ from repro.calendar.calendar import checked_durations, completion_order
 from repro.errors import CalendarError, ShardCommitError
 from repro.obs import core as _obs
 from repro.obs import timeline as _tl
-from repro.shard.pool import CompletionLeg, completion_leg
 
 __all__ = ["ShardedCalendar", "shard_capacities"]
 
@@ -176,12 +174,12 @@ class ShardedCalendar:
         #: the base by :meth:`commit` (leg-wise, like the shard swaps).
         self._pieces_added: dict[_ResKey, list[tuple[int, Reservation]]] = {}
         self._pieces_removed: set[_ResKey] = set()
-        # Optional process-pool probe fan-out (repro.shard.pool); the
-        # pool mirrors every mutation into its replica log.
-        self._pool: Any | None = None
         #: Shard id of the most recent routed commit (-1 before any);
         #: the service reads it to attribute a rebooking to a shard.
         self._last_commit_shard = -1
+        #: Staged copies only: each routed commit and its hosting shard,
+        #: in commit order (:meth:`hosts`).
+        self._staged_hosts: list[tuple[Reservation, int]] = []
         # Combined-profile cache for availability(), keyed by the
         # generation vector it was built at.
         self._combined: StepFunction | None = None
@@ -262,6 +260,19 @@ class ShardedCalendar:
     def last_commit_shard(self) -> int:
         """Shard that hosted the most recent routed commit (-1: none)."""
         return self._last_commit_shard
+
+    def hosts(self, reservations: Iterable[Reservation]) -> list[int]:
+        """The shard each of ``reservations`` was committed to on this
+        staged copy by :meth:`reserve_known_feasible`.
+
+        Matched by value; value-equal twins take their shards in commit
+        order.  The service journals these ids so that a resumed run
+        re-commits every placement into the shard that hosted it.
+        """
+        queues: dict[Reservation, list[int]] = {}
+        for r, k in self._staged_hosts:
+            queues.setdefault(r, []).append(k)
+        return [queues[r].pop(0) for r in reservations]
 
     @property
     def reservations(self) -> tuple[Reservation, ...]:
@@ -365,20 +376,20 @@ class ShardedCalendar:
         """The ``(start, nprocs)`` completing earliest on any one shard.
 
         Fans out one :meth:`ResourceCalendar.earliest_completion` leg
-        per shard (:func:`repro.shard.pool.completion_leg`: durations
-        truncated to the shard capacity, serially or through the probe
-        pool) and reduces the legs by ``(completion, nprocs in tie-break
-        direction, start)``.  That is the unsharded decision over the
+        per shard (the shard's kernel on the facade's sorted request;
+        counts beyond the shard capacity are skipped) and reduces the
+        legs by ``(completion, nprocs in tie-break direction, start)``.
+        That is the unsharded decision over the
         ``(earliest_start, shard_id)``-reduced starts of
         :meth:`earliest_starts_batch`: rounded float addition is
         monotone, so a count's completion is the minimum of its
         per-shard completions, and each leg's winner is the tie-break
         winner among its own counts.  The start has to be in the key
         because two shards' different starts can round to the same
-        completion; the smaller is the reduced start.  Serial legs are
-        handed the best leg so far and only answer when they can match
-        it; pooled legs run unbounded — the reduce is the same either
-        way.  With one shard this is the shard's own kernel verbatim.
+        completion; the smaller is the reduced start.  Each leg is
+        handed the best leg so far and only answers when it can match
+        it, which prunes most of the later shards.  With one shard this
+        is the shard's own kernel verbatim.
         """
         if len(self._shards) == 1:
             return self._shards[0].earliest_completion(
@@ -392,28 +403,20 @@ class ShardedCalendar:
             )
         fewest = tie_break == "fewest"
         plan = completion_order(e, d, fewest)
-        trace = probed is not None
         sign = 1 if fewest else -1
         # Reduce key per leg: (completion, signed count, start).
         best: tuple[float, int, float] | None = None
-        legs: list[CompletionLeg]
-        if self._pool is not None:
-            legs = self._pool.complete(e, plan, fewest, trace)
-            for answer, _ in legs:
-                best = _better_leg(best, answer, d, sign)
-        else:
-            # Serially, a leg only has to answer when it can match the
-            # best leg so far, which prunes most of the later shards.
-            legs = []
-            for s in self._shards:
-                beat = None if best is None else (best[0], sign * best[1])
-                legs.append(completion_leg(s, e, plan, fewest, trace, beat))
-                best = _better_leg(best, legs[-1][0], d, sign)
+        traces: list[list[ProbedCount] | None] = []
+        for s in self._shards:
+            beat = None if best is None else (best[0], sign * best[1])
+            trace: list[ProbedCount] | None = None if probed is None else []
+            answer = s._earliest_completion(e, plan, fewest, trace, beat)
+            traces.append(trace)
+            best = _better_leg(best, answer, d, sign)
         assert best is not None  # shard 0 hosts at least one processor
         finish, signed_m, start = best
         m = sign * signed_m
         if probed is not None:
-            traces = [leg for _, leg in legs]
             probed.extend(_merge_probed(d.size, traces, m, start, finish))
         if _obs.ENABLED:
             _obs.incr("shard.probes", len(self._shards))
@@ -494,31 +497,32 @@ class ShardedCalendar:
         availability only decreases between a probe and its commit.
         """
         if len(self._shards) == 1:
-            self._touched.add(0)
-            self._last_commit_shard = 0
-            if self._pool is not None:
-                self._pool.record(("rkf", 0, start, duration, nprocs, label))
-            return self._shards[0].reserve_known_feasible(
-                start, duration, nprocs, label
-            )
+            return self._routed(0, start, duration, nprocs, label)
         end = start + duration
         for k, s in enumerate(self._shards):
             if nprocs <= s.capacity and (
                 s.availability().min_over(start, end) >= nprocs
             ):
-                self._touched.add(k)
-                self._last_commit_shard = k
-                if self._pool is not None:
-                    self._pool.record(
-                        ("rkf", k, start, duration, nprocs, label)
-                    )
                 if _obs.ENABLED:
                     _obs.incr("shard.commits")
-                return s.reserve_known_feasible(start, duration, nprocs, label)
+                return self._routed(k, start, duration, nprocs, label)
         raise CalendarError(
             f"placement [{start}, {end}) x{nprocs} fits no shard — it was "
             "not derived from this calendar's current state"
         )
+
+    def _routed(
+        self, k: int, start: float, duration: float, nprocs: int, label: str
+    ) -> Reservation:
+        """Known-feasible commit into shard ``k``, the routing target."""
+        r = self._shards[k].reserve_known_feasible(
+            start, duration, nprocs, label
+        )
+        self._touched.add(k)
+        self._last_commit_shard = k
+        if self._parent is not None:
+            self._staged_hosts.append((r, k))
+        return r
 
     def reserve_in(
         self,
@@ -533,8 +537,6 @@ class ShardedCalendar:
         r = self._shards[shard].reserve(start, duration, nprocs, label=label)
         self._touched.add(shard)
         self._last_commit_shard = shard
-        if self._pool is not None:
-            self._pool.record(("add", shard, _res_key(r)))
         if _obs.ENABLED:
             _obs.incr("shard.commits")
         return r
@@ -550,8 +552,6 @@ class ShardedCalendar:
         self._shards[shard].add(reservation)
         self._touched.add(shard)
         self._pieces.pop(_res_key(reservation), None)
-        if self._pool is not None:
-            self._pool.record(("add", shard, _res_key(reservation)))
 
     def remove_from_shard(self, shard: int, reservation: Reservation) -> None:
         """Remove a value-equal reservation from one explicit shard.
@@ -562,8 +562,6 @@ class ShardedCalendar:
         """
         self._shards[shard].remove(reservation)
         self._touched.add(shard)
-        if self._pool is not None:
-            self._pool.record(("rm", shard, _res_key(reservation)))
 
     def add(self, reservation: Reservation) -> None:
         """Water-fill an external reservation across the shards.
@@ -579,8 +577,6 @@ class ShardedCalendar:
         if len(self._shards) == 1:
             self._shards[0].add(reservation)
             self._touched.add(0)
-            if self._pool is not None:
-                self._pool.record(("add", 0, _res_key(reservation)))
             return
         rot = self._fill_rot
         pieces = self._fill_pieces(reservation, rot)
@@ -667,9 +663,6 @@ class ShardedCalendar:
             raise
         for k, _ in pieces:
             self._touched.add(k)
-        if self._pool is not None:
-            for k, piece in pieces:
-                self._pool.record(("add", k, _res_key(piece)))
         if len(pieces) != 1 or pieces[0][1] != r:
             key = _res_key(r)
             self._pieces[key] = pieces
@@ -691,8 +684,6 @@ class ShardedCalendar:
             for k, piece in pieces:
                 self._shards[k].remove(piece)
                 self._touched.add(k)
-                if self._pool is not None:
-                    self._pool.record(("rm", k, _res_key(piece)))
             del self._pieces[key]
             if self._parent is not None:
                 self._pieces_removed.add(key)
@@ -702,8 +693,6 @@ class ShardedCalendar:
             if reservation in s.reservations:
                 s.remove(reservation)
                 self._touched.add(k)
-                if self._pool is not None:
-                    self._pool.record(("rm", k, key))
                 return
         raise CalendarError(
             f"reservation {reservation!r} is not booked on any shard"
@@ -728,8 +717,7 @@ class ShardedCalendar:
 
         The copy records the per-shard generation vector as its CAS
         token and tracks every shard it writes to; hand it back to the
-        base via :meth:`validate_commit` / :meth:`commit`.  Copies do
-        not inherit a probe pool (staging is serial).
+        base via :meth:`validate_commit` / :meth:`commit`.
         """
         dup = ShardedCalendar([s.copy() for s in self._shards])
         dup._pieces = dict(self._pieces)
@@ -781,25 +769,6 @@ class ShardedCalendar:
         self._fill_rot = staged._fill_rot
         if _obs.ENABLED:
             _obs.incr("shard.commits", len(staged._touched))
-        if self._pool is not None:
-            # Replica logs cannot replay a leg swap op-by-op; reseed
-            # them from the committed state (the service and the
-            # windowed stream refuse pools, so only direct callers pay).
-            self._pool.record_snapshot(self)
-
-    # ------------------------------------------------------------------
-    # Process-pool probe fan-out
-    # ------------------------------------------------------------------
-
-    def attach_pool(self, pool: Any | None) -> None:
-        """Attach (or detach, with ``None``) a probe fan-out pool.
-
-        The pool must implement ``complete(earliest, plan, fewest,
-        trace)``, ``record(op)``, and ``record_snapshot(calendar)`` —
-        :class:`repro.shard.pool.ShardProbePool` does.  Results are
-        bitwise identical with and without a pool at any worker count.
-        """
-        self._pool = pool
 
     def __repr__(self) -> str:
         caps = ",".join(str(s.capacity) for s in self._shards)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -242,3 +243,58 @@ class TestStream:
         )
         assert rc == 2
         assert "row 1" in capsys.readouterr().err
+
+
+class TestServe:
+    """``repro serve`` on the committed request-stream fixture."""
+
+    REQUESTS = str(Path(__file__).parent / "data" / "stream_requests.csv")
+
+    @pytest.fixture()
+    def dag_file(self, tmp_path):
+        out = tmp_path / "app.json"
+        main(["gen-dag", "--n", "6", "--seed", "3", "--out", str(out)])
+        return str(out)
+
+    def _summary(self, dag_file, out, *flags):
+        rc = main(
+            ["serve", "--requests", self.REQUESTS, "--dag", dag_file,
+             "--out", str(out), *flags]
+        )
+        assert rc == 0
+        return json.loads(out.read_text())["meta"]["service"]
+
+    def test_serial_shard_workers_flag_changes_nothing(
+        self, dag_file, tmp_path
+    ):
+        with_flag = self._summary(
+            dag_file, tmp_path / "a.json", "--shards", "2",
+            "--shard-workers", "0",
+        )
+        without = self._summary(dag_file, tmp_path / "b.json", "--shards", "2")
+        assert with_flag["digest"] == without["digest"]
+
+    def test_shard_workers_refused(self, dag_file, capsys):
+        rc = main(
+            ["serve", "--requests", self.REQUESTS, "--dag", dag_file,
+             "--shards", "2", "--shard-workers", "1"]
+        )
+        assert rc == 2
+        assert "shard_workers" in capsys.readouterr().err
+
+    def test_sharded_kill_and_resume_matches_uninterrupted(
+        self, dag_file, tmp_path
+    ):
+        flags = ["--shards", "4", "--faults", "8", "--seed", "11"]
+        journal = str(tmp_path / "svc.jsonl")
+        uninterrupted = self._summary(dag_file, tmp_path / "ref.json", *flags)
+        rc = main(
+            ["serve", "--requests", self.REQUESTS, "--dag", dag_file,
+             *flags, "--journal", journal, "--stop-after", "2"]
+        )
+        assert rc == 0
+        resumed = self._summary(
+            dag_file, tmp_path / "resumed.json", *flags, "--journal", journal
+        )
+        assert resumed["resumed"] == 2
+        assert resumed["digest"] == uninterrupted["digest"]

@@ -27,7 +27,7 @@ from repro.errors import CalendarError
 from repro.experiments.stream import StreamRequest, StreamScheduler
 from repro.obs import timeline as tl
 from repro.rng import make_rng
-from repro.shard import ShardedCalendar, ShardProbePool
+from repro.shard import ShardedCalendar
 from repro.workloads.reservations import ReservationScenario
 
 TIE_BREAKS = ("fewest", "most")
@@ -290,33 +290,6 @@ class TestSharded:
         # The commit routes to the shard the start came from.
         cal.reserve_known_feasible(0.5, big, 1)
         assert cal.last_commit_shard == 1
-
-    def test_pooled_legs_match_serial(self):
-        serial = _sharded(11, 4)
-        pooled = _sharded(11, 4)
-        rng = make_rng(12)
-        probes = [
-            (float(rng.uniform(0.0, 20_000.0)), _durations(rng, 20, "amdahl"))
-            for _ in range(3)
-        ]
-        with ShardProbePool(pooled, 2) as pool:
-            pooled.attach_pool(pool)
-            for tie_break in TIE_BREAKS:
-                for earliest, d in probes:
-                    want: list = []
-                    got: list = []
-                    assert pooled.earliest_completion(
-                        earliest, d, tie_break, probed=got
-                    ) == serial.earliest_completion(
-                        earliest, d, tie_break, probed=want
-                    )
-                    # Pooled legs run unbounded, serial legs against the
-                    # best leg so far: exact provenance entries agree.
-                    exact = {p[0]: p for p in want if p[3]}
-                    for p in got:
-                        if p[3] and p[0] in exact:
-                            assert p == exact[p[0]]
-            pooled.attach_pool(None)
 
 
 def _scenario(capacity: int = 16, n_res: int = 12, seed: int = 3):

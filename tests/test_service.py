@@ -6,10 +6,12 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 
 import pytest
 
 from repro.calendar import Reservation
+from repro.core.ressched import ResSchedAlgorithm
 from repro.dag import DagGenParams, random_task_graph
 from repro.errors import QuotaError, ServiceError
 from repro.experiments.reporting import run_instrumented
@@ -305,6 +307,27 @@ class TestCrashResume:
                 _scenario(), journal_path=journal
             ).run(_requests(6))
 
+    def test_other_journal_version_refused(self, tmp_path):
+        journal = tmp_path / "svc.jsonl"
+        ReservationService(
+            _scenario(), journal_path=str(journal)
+        ).run(_requests(4), stop_after=2)
+        lines = journal.read_text(encoding="utf-8").splitlines()
+        header = json.loads(lines[0])
+        header["version"] = ServiceJournal.VERSION - 1
+        journal.write_text(
+            "\n".join([json.dumps(header)] + lines[1:]) + "\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(
+            ServiceError,
+            match=rf"version {ServiceJournal.VERSION - 1}\b.*"
+            rf"version {ServiceJournal.VERSION}\b",
+        ):
+            ReservationService(
+                _scenario(), journal_path=str(journal)
+            ).run(_requests(4))
+
     def test_foreign_file_refused(self, tmp_path):
         path = tmp_path / "not-a-journal.jsonl"
         path.write_text('{"format": "something-else"}\n')
@@ -329,6 +352,65 @@ class TestCrashResume:
         kinds = {rec["type"] for rec in lines[1:]}
         assert kinds == {"outcome", "fault"}
         assert sum(1 for r in lines[1:] if r["type"] == "outcome") == 5
+
+
+#: One changed input per class the journal fingerprint pins, as
+#: keyword overrides of the resuming service.
+FINGERPRINTED = {
+    "scenario-reservations": dict(scenario=_scenario(seed=6)),
+    "scenario-capacity": dict(scenario=_scenario(capacity=16)),
+    "algorithm": dict(algorithm=ResSchedAlgorithm("BL_1", "BD_ALL")),
+    "tie-break": dict(tie_break="most"),
+    "cpa-stopping": dict(cpa_stopping="classic"),
+    "shards": dict(shards=4),
+    "fault-model-ranges": dict(
+        fault_model=replace(
+            FAULTED["fault_model"], arrival_lead=(0.0, 3600.0)
+        )
+    ),
+    "default-quota": dict(
+        config=ServiceConfig(default_quota=TenantQuota(max_active=1))
+    ),
+    "tenant-quotas": dict(
+        config=ServiceConfig(quotas={"default": TenantQuota(max_active=1)})
+    ),
+    "retry-backoff-base": dict(config=ServiceConfig(retry_backoff_base=5.0)),
+    "retry-backoff-cap": dict(config=ServiceConfig(retry_backoff_cap=60.0)),
+    "placement-attempts": dict(config=ServiceConfig(placement_attempts=1)),
+}
+
+
+class TestJournalFingerprint:
+    def _journal(self, tmp_path):
+        journal = str(tmp_path / "svc.jsonl")
+        ReservationService(
+            _scenario(), journal_path=journal, **FAULTED
+        ).run(_requests(12), stop_after=3)
+        return journal
+
+    @pytest.mark.parametrize("changed", sorted(FINGERPRINTED))
+    def test_changed_input_refuses_resume(self, tmp_path, changed):
+        """Every input that decides outcomes is pinned: resuming under a
+        different one raises instead of replaying into another run."""
+        journal = self._journal(tmp_path)
+        kwargs = dict(
+            scenario=_scenario(), journal_path=journal, **FAULTED
+        )
+        kwargs.update(FINGERPRINTED[changed])
+        with pytest.raises(ServiceError, match="fingerprint"):
+            ReservationService(**kwargs).run(_requests(12))
+
+    def test_dead_letter_path_is_not_pinned(self, tmp_path):
+        reqs = _requests(12)
+        uninterrupted = ReservationService(_scenario(), **FAULTED).run(reqs)
+        resumed = ReservationService(
+            _scenario(),
+            journal_path=self._journal(tmp_path),
+            dead_letter_path=str(tmp_path / "elsewhere.deadletter"),
+            **FAULTED,
+        ).run(reqs)
+        assert resumed.resumed == 3
+        assert resumed.digest() == uninterrupted.digest()
 
 
 class TestQuotasAndShedding:

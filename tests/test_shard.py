@@ -3,19 +3,19 @@
 Covers the partitioning/water-filling invariants, the deterministic
 probe fan-out/reduce, the two-phase cross-shard commit protocol, the
 K = 1 bitwise reduction to the unsharded engine (stream and service),
-whole-shard downtime faults forcing cross-shard repair, process-pool
-probe fan-out digest equality, and the refusal of probe workers where
-planning runs on staged copies.
+whole-shard downtime faults forcing cross-shard repair, resume of a
+sharded service over its journal, and the refusal of probe workers.
 """
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.calendar.calendar as calmod
 from repro import obs
 from repro.calendar import Reservation, ResourceCalendar
 from repro.dag import DagGenParams, random_task_graph
@@ -24,8 +24,8 @@ from repro.experiments.stream import StreamRequest, StreamScheduler
 from repro.obs import core as obs_core
 from repro.resilience.faults import FaultModel
 from repro.rng import make_rng
-from repro.service import ReservationService
-from repro.shard import ShardedCalendar, ShardProbePool, shard_capacities
+from repro.service import ReservationService, ServiceConfig
+from repro.shard import ShardedCalendar, shard_capacities
 from repro.workloads.reservations import ReservationScenario
 
 
@@ -314,72 +314,91 @@ class TestShardedService:
         assert report.n_admitted == len(_requests())
 
 
-class TestProbePool:
-    def test_pooled_stream_digest_matches_serial(self):
-        serial = StreamScheduler(_scenario(), shards=4).run(_requests())
-        pooled_engine = StreamScheduler(
-            _scenario(), shards=4, shard_workers=2
-        )
-        try:
-            pooled = pooled_engine.run(_requests())
-        finally:
-            pooled_engine.close()
-        assert pooled.digest() == serial.digest()
+#: Cancel-heavy model: most faults withdraw competing reservations.
+CANCEL_HEAVY = FaultModel(
+    arrivals_per_day=40.0, cancels_per_day=200.0, downtimes_per_day=40.0
+)
 
-    def _flip_owner_switches(self, monkeypatch):
-        # Force the tree walks and strict commit validation on the owner
-        # only: the workers are already running, so they keep the
-        # import-time values.
-        monkeypatch.setattr(calmod, "INDEX_MIN_SEGMENTS", 0)
-        monkeypatch.setattr(calmod, "VALIDATE_COMMITS", True)
+#: Fault setups for the resume test: model, competing reservations and
+#: request spacing (seconds).
+RESUME_SETUPS = {
+    "faulted": (FaultModel.from_rate(150.0), 6, 900.0),
+    "downtime": (DOWNTIME, 6, 900.0),
+    "cancel-heavy": (CANCEL_HEAVY, 40, 600.0),
+}
 
-    def test_pooled_legs_ignore_owner_calendar_switches(self, monkeypatch):
-        serial = ShardedCalendar.partition(32, _reservations(), n_shards=4)
-        pooled = ShardedCalendar.partition(32, _reservations(), n_shards=4)
-        rng = make_rng(12)
-        probes = [
-            (
-                float(rng.uniform(0.0, 20_000.0)),
-                np.asarray(rng.uniform(100.0, 5_000.0, size=20)),
-            )
-            for _ in range(3)
-        ]
-        with ShardProbePool(pooled, 2) as pool:
-            pooled.attach_pool(pool)
-            pooled.earliest_completion(*probes[0])  # start the workers
-            self._flip_owner_switches(monkeypatch)
-            for tie_break in ("fewest", "most"):
-                for earliest, d in probes:
-                    got = pooled.earliest_completion(earliest, d, tie_break)
-                    assert got == serial.earliest_completion(
-                        earliest, d, tie_break
-                    )
-                    # Both commit the answer; the workers replay it
-                    # under their own switches.
-                    start, m = got
-                    for cal in (pooled, serial):
-                        cal.reserve_known_feasible(start, float(d[m - 1]), m)
-            pooled.attach_pool(None)
 
-    def test_pooled_stream_digest_ignores_owner_calendar_switches(
-        self, monkeypatch
+class TestShardedResume:
+    @pytest.mark.parametrize("latency", [0.0, 1800.0])
+    @pytest.mark.parametrize("setup", sorted(RESUME_SETUPS))
+    @pytest.mark.parametrize("n_shards", [2, 4, 8])
+    def test_resume_is_bitwise_identical(
+        self, tmp_path, n_shards, setup, latency
     ):
-        serial = StreamScheduler(_scenario(), shards=4).run(_requests())
-        engine = StreamScheduler(_scenario(), shards=4, shard_workers=2)
-        try:
-            engine.calendar.earliest_completion(0.0, [100.0])  # start workers
-            self._flip_owner_switches(monkeypatch)
-            pooled = engine.run(_requests())
-        finally:
-            engine.close()
-        assert pooled.digest() == serial.digest()
+        """A sharded service killed and resumed over its journal equals
+        the uninterrupted run: every placement is re-committed into the
+        shard that hosted it."""
+        model, n_res, spacing = RESUME_SETUPS[setup]
+        config = ServiceConfig(
+            commit_latency=latency, retry_backoff_base=30.0
+        )
+        reqs = _requests(12, spacing=spacing)
 
-    def test_service_refuses_probe_workers(self):
-        with pytest.raises(ServiceError, match="staged calendar copy"):
-            ReservationService(_scenario(), shards=4, shard_workers=2)
-
-    def test_windowed_stream_refuses_probe_workers(self):
-        with pytest.raises(ServiceError, match="admission_window"):
-            StreamScheduler(
-                _scenario(), admission_window=600.0, shards=4, shard_workers=2
+        def service(journal=None):
+            return ReservationService(
+                _scenario(n_res=n_res),
+                config=config,
+                fault_model=model,
+                seed=3,
+                journal_path=journal,
+                shards=n_shards,
             )
+
+        uninterrupted = service().run(reqs)
+        for stop in (4, 8):
+            journal = str(tmp_path / f"stop{stop}.jsonl")
+            service(journal).run(reqs, stop_after=stop)
+            resumed = service(journal).run(reqs)
+            assert resumed.resumed == stop
+            assert resumed.digest() == uninterrupted.digest()
+            assert resumed.booked == uninterrupted.booked
+
+
+    @pytest.mark.parametrize(
+        "corrupt, match",
+        [
+            (lambda shards: None, "no hosting shards"),
+            (lambda shards: shards[:-1], "hosting shards for"),
+            (lambda shards: [9] * len(shards), "the calendar has 4 shards"),
+            (lambda shards: [0] * len(shards), "does not fit"),
+        ],
+    )
+    def test_corrupt_hosting_shards_refused(self, tmp_path, corrupt, match):
+        """A journal whose hosting shards disagree with the calendar
+        raises a ServiceError instead of over-booking a shard."""
+        journal = tmp_path / "svc.jsonl"
+
+        def service():
+            return ReservationService(
+                _scenario(), journal_path=str(journal), shards=4
+            )
+
+        service().run(_requests(12))
+        lines = journal.read_text(encoding="utf-8").splitlines()
+        records = [json.loads(line) for line in lines]
+        for rec in records[1:]:
+            shards = corrupt(rec.pop("shards"))
+            if shards is not None:
+                rec["shards"] = shards
+        journal.write_text(
+            "".join(json.dumps(rec) + "\n" for rec in records),
+            encoding="utf-8",
+        )
+        with pytest.raises(ServiceError, match=match):
+            service().run(_requests(12))
+
+
+class TestProbePool:
+    def test_service_refuses_probe_workers(self):
+        with pytest.raises(ServiceError, match="fan out serially"):
+            ReservationService(_scenario(), shards=4, shard_workers=2)

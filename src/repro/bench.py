@@ -6,11 +6,11 @@ and tree-indexed scalar probes on dense calendars), the sweep-level
 allocation memo, CPA allocation, and one Table-4 experiment cell —
 against a **seed baseline**: the original
 implementations this repository shipped with before the optimization
-pass.  The baseline is reconstructed in-process by (a) flipping the
-module-level switches that gate the incremental CPA paths and the
-availability index and (b) monkeypatching faithful re-implementations
-of the routines whose *algorithm* changed (the per-node NumPy-scalar
-level loops, the recompile-per-commit calendar adds and the
+pass.  The baseline is reconstructed in-process by (a) raising the
+availability index's threshold above any profile size and (b)
+monkeypatching faithful re-implementations of the routines whose
+*algorithm* changed (the per-node NumPy-scalar level loops, the
+full-recompute CPA loop, the recompile-per-commit calendar adds and the
 segment-walking placement scans below, kept verbatim from the seed
 commit).  Both sides of every comparison are asserted to produce
 identical results before their timings are reported.
@@ -43,7 +43,12 @@ import repro.calendar.calendar as _calmod
 import repro.cpa.allocation as _allocmod
 from repro.calendar import Reservation, ResourceCalendar
 from repro.errors import CalendarError
-from repro.cpa.allocation import cpa_allocation
+from repro.cpa.allocation import (
+    _CP_RTOL,
+    CpaAllocation,
+    allocation_caps,
+    cpa_allocation,
+)
 from repro.dag import DagGenParams, TaskGraph, random_task_graph
 from repro.experiments.scenarios import ExperimentScale
 from repro.experiments.table4 import format_table4, run_table4
@@ -230,19 +235,64 @@ def _seed_earliest_completion(
     return float(starts[j]), j + 1
 
 
+def _seed_cpa_allocation(
+    graph: TaskGraph, q: int, stopping: str, max_iterations: int | None
+) -> CpaAllocation:
+    """The seed's CPA refinement loop: every iteration rescans all gains
+    with NumPy and recomputes every bottom and top level.  It is also the
+    oracle the differential tests hold the live loop to."""
+    n = graph.n
+    caps = allocation_caps(graph, q, stopping)
+    exec_table = np.vstack([graph.task(i).exec_times(q) for i in range(n)])
+    alloc = np.ones(n, dtype=int)
+    exec_t = exec_table[:, 0].copy()
+    cap = max_iterations if max_iterations is not None else n * max(q - 1, 0)
+    rows = np.arange(n)
+    max_col = exec_table.shape[1] - 1
+    bl = graph.bottom_levels(exec_t).tolist()
+    tl = graph.top_levels(exec_t).tolist()
+    src_list = list(graph.sources)
+    iterations = 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while True:
+            tcp = max(map(bl.__getitem__, src_list))
+            area = float((alloc * exec_t).sum()) / q
+            if tcp <= area or iterations >= cap:
+                break
+            nxt = exec_table[rows, np.minimum(alloc, max_col)]
+            gain = np.where(exec_t > 0, (exec_t - nxt) / exec_t, 0.0)
+            off_cp = np.asarray(tl) + np.asarray(bl) < tcp - _CP_RTOL * tcp
+            gain[(alloc >= caps) | off_cp] = -np.inf
+            best_task = int(np.argmax(gain))
+            if gain[best_task] <= 0.0:
+                break
+            alloc[best_task] += 1
+            exec_t[best_task] = exec_table[best_task, alloc[best_task] - 1]
+            bl = graph.bottom_levels(exec_t).tolist()
+            tl = graph.top_levels(exec_t).tolist()
+            iterations += 1
+    return CpaAllocation(
+        allocations=tuple(int(a) for a in alloc),
+        exec_times=tuple(float(t) for t in exec_t),
+        critical_path=tcp,
+        area=area,
+        iterations=iterations,
+        q=q,
+    )
+
+
 @contextmanager
 def seed_baseline() -> Iterator[None]:
     """Run the enclosed code against the seed commit's hot paths.
 
     Swaps in the seed's commits (a full profile recompile and strict
-    validation on every add) and its per-node/segment-walking
-    implementations, turns the availability index off (threshold above
-    any profile size) and the incremental CPA levels off.  Everything is
-    restored on exit, even on error.
+    validation on every add), its per-node/segment-walking
+    implementations and its CPA loop, and turns the availability index
+    off (threshold above any profile size).  Everything is restored on
+    exit, even on error.
     """
     saved_flags = (
         _calmod.INDEX_MIN_SEGMENTS,
-        _allocmod.INCREMENTAL_LEVELS,
         _allocmod.MEMOIZE_ALLOCATIONS,
     )
     saved_methods = (
@@ -255,10 +305,11 @@ def seed_baseline() -> Iterator[None]:
         ResourceCalendar.earliest_starts_multi,
         ResourceCalendar.earliest_completion,
     )
+    saved_loop = _allocmod._cpa_allocation
     _calmod.INDEX_MIN_SEGMENTS = sys.maxsize
-    _allocmod.INCREMENTAL_LEVELS = False
     _allocmod.MEMOIZE_ALLOCATIONS = False
     _allocmod.clear_memo()
+    _allocmod._cpa_allocation = _seed_cpa_allocation
     TaskGraph.bottom_levels = _seed_bottom_levels
     TaskGraph.top_levels = _seed_top_levels
     ResourceCalendar.add = _seed_add
@@ -272,9 +323,9 @@ def seed_baseline() -> Iterator[None]:
     finally:
         (
             _calmod.INDEX_MIN_SEGMENTS,
-            _allocmod.INCREMENTAL_LEVELS,
             _allocmod.MEMOIZE_ALLOCATIONS,
         ) = saved_flags
+        _allocmod._cpa_allocation = saved_loop
         (
             TaskGraph.bottom_levels,
             TaskGraph.top_levels,
@@ -550,21 +601,19 @@ def bench_sweep_alloc_memo(
 
 
 def bench_cpa_allocation(*, n_tasks: int, q: int, repeats: int) -> dict[str, Any]:
-    """One CPA allocation run: full level recomputes vs incremental.
-
-    The seed path additionally pays the per-node NumPy-scalar level
-    loops (restored via :func:`seed_baseline`).
-    """
+    """One CPA allocation run: the seed loop (NumPy rescans and full
+    level recomputes every iteration, plus the seed's per-node NumPy
+    level loops, via :func:`seed_baseline`) vs the scalar loop."""
     graph = random_task_graph(DagGenParams(n=n_tasks), make_rng(42))
 
     def seed_path():
         with seed_baseline():
-            return cpa_allocation(graph, q, incremental=False)
+            return cpa_allocation(graph, q)
 
     def fast_path():
-        # memoize=False: this entry measures the incremental-level
-        # kernel; the memo has its own entry (sweep_alloc_memo).
-        return cpa_allocation(graph, q, incremental=True, memoize=False)
+        # memoize=False: this entry measures the allocation loop; the
+        # memo has its own entry (sweep_alloc_memo).
+        return cpa_allocation(graph, q, memoize=False)
 
     full_s, seed_res = _best_of(seed_path, repeats)
     inc_s, fast_res = _best_of(fast_path, repeats)

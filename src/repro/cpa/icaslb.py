@@ -29,13 +29,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.cpa.allocation import CpaAllocation, allocation_caps
+from repro.cpa.allocation import _CP_RTOL, CpaAllocation, allocation_caps
 from repro.cpa.mapping import cpa_map
 from repro.dag import TaskGraph
 from repro.errors import GenerationError
-
-#: Relative slack when testing critical-path membership.
-_CP_RTOL = 1e-9
 
 
 def icaslb_allocation(

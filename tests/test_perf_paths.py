@@ -9,9 +9,11 @@ straightforward computation it replaces.  This file is that contract:
   scalar counterparts for **every** processor count (property-based).
 * ``StepFunction.with_interval_delta`` equals an event-list rebuild, and
   incremental calendar commits equal full recompiles.
-* ``update_bottom_levels`` / ``update_top_levels`` match full recomputes
-  through arbitrary sequences of up/down weight changes.
-* ``cpa_allocation(incremental=True)`` equals the full-recompute run.
+* The CPA level refresh matches full recomputes through arbitrary
+  sequences of up/down weight changes.
+* ``cpa_allocation`` equals the seed's full-recompute loop bit for bit
+  (Hypothesis), including gain-0 exits, exact gain ties and the
+  end-to-end benchmark's DAG pool.
 * The parallel table drivers return bitwise-identical tables at any
   worker count.
 * The bench harness's seed baseline is self-checking and reversible.
@@ -19,23 +21,27 @@ straightforward computation it replaces.  This file is that contract:
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repro.calendar.calendar as calmod
 import repro.cpa.allocation as allocmod
-from repro.bench import bench_calendar_commit, seed_baseline
+from repro.bench import _seed_cpa_allocation, bench_calendar_commit, seed_baseline
 from repro.calendar import Reservation, ResourceCalendar, StepFunction
 from repro.cli import build_parser
-from repro.cpa.allocation import cpa_allocation
-from repro.dag import DagGenParams, TaskGraph, random_task_graph
+from repro.cpa.allocation import _Levels, cpa_allocation
+from repro.dag import DagGenParams, Task, TaskGraph, random_task_graph
+from repro.dag.graph import chain_graph, fork_join_graph
 from repro.errors import CalendarError, GenerationError
 from repro.experiments.parallel import map_stream
-from repro.experiments.scenarios import ExperimentScale
+from repro.experiments.scenarios import ExperimentScale, table1_app_scenarios
 from repro.experiments.table4 import format_table4, run_table4
-from repro.rng import make_rng
+from repro.model import AmdahlModel, DowneyModel
+from repro.rng import derive_rng, make_rng
 
 # ----------------------------------------------------------------------
 # Shared strategies
@@ -170,7 +176,7 @@ class TestIncrementalProfile:
 
 
 # ----------------------------------------------------------------------
-# Incremental DAG levels
+# CPA level refresh
 # ----------------------------------------------------------------------
 
 
@@ -179,31 +185,102 @@ class TestIncrementalLevels:
     def test_update_levels_matches_full_recompute(self, seed):
         rng = make_rng(seed)
         graph = random_task_graph(DagGenParams(n=60), rng)
-        w = list(rng.uniform(0.5, 100.0, size=graph.n))
-        bl = graph.bottom_levels(w).tolist()
-        tl = graph.top_levels(w).tolist()
+        levels = _Levels(graph, list(rng.uniform(0.5, 100.0, size=graph.n)))
+        w = levels.w
         for _ in range(120):
             i = int(rng.integers(0, graph.n))
-            # Alternate growth and shrinkage so both worklist directions
-            # (level decrease and increase) are exercised.
+            # Alternate growth and shrinkage: CPA only shrinks times,
+            # but the refresh must not depend on the direction.
             w[i] = float(w[i] * rng.choice([0.3, 0.9, 1.2, 4.0]))
-            graph.update_bottom_levels(bl, w, i)
-            graph.update_top_levels(tl, w, i)
-            assert bl == graph.bottom_levels(w).tolist()
-            assert tl == graph.top_levels(w).tolist()
+            levels.refresh(i)
+            assert levels.bl == graph.bottom_levels(w).tolist()
+            assert levels.tl == graph.top_levels(w).tolist()
 
     def test_update_on_unchanged_weight_is_noop(self):
         graph = random_task_graph(DagGenParams(n=20), make_rng(7))
-        w = [1.0] * graph.n
-        bl = graph.bottom_levels(w).tolist()
-        before = list(bl)
-        graph.update_bottom_levels(bl, w, 0)
-        assert bl == before
+        levels = _Levels(graph, [1.0] * graph.n)
+        before = (list(levels.bl), list(levels.tl))
+        levels.refresh(0)
+        assert (levels.bl, levels.tl) == before
 
 
 # ----------------------------------------------------------------------
-# CPA incremental equivalence
+# CPA allocation loop vs the seed loop
 # ----------------------------------------------------------------------
+
+
+def _bits(result):
+    """Every field of a CpaAllocation, floats as their exact bits."""
+    return (
+        result.allocations,
+        tuple(t.hex() for t in result.exec_times),
+        result.critical_path.hex(),
+        result.area.hex(),
+        result.iterations,
+        result.q,
+    )
+
+
+def _assert_matches_seed(graph, q, stopping, max_iterations=None):
+    live = cpa_allocation(
+        graph, q, stopping=stopping, max_iterations=max_iterations, memoize=False
+    )
+    assert _bits(live) == _bits(
+        _seed_cpa_allocation(graph, q, stopping, max_iterations)
+    )
+    return live
+
+
+#: Speedup models for the random DAGs: Amdahl up to alpha = 1 (no
+#: speedup, gain 0) and Downey curves that plateau at their average
+#: parallelism (gain 0 from there on).
+_models = st.one_of(
+    st.sampled_from([0.0, 0.05, 0.2, 0.5, 1.0]).map(AmdahlModel),
+    st.builds(
+        DowneyModel,
+        avg_parallelism=st.sampled_from([1.0, 2.0, 3.5, 8.0]),
+        sigma=st.sampled_from([0.0, 0.5, 2.0]),
+    ),
+)
+
+
+@st.composite
+def _dags(draw):
+    """Random DAGs with several sources and sinks; tasks are drawn from a
+    few kinds, so identical tasks tie exactly on gain."""
+    kinds = draw(
+        st.lists(
+            st.tuples(st.sampled_from([60.0, 600.0, 1800.0, 7200.0]), _models),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    n = draw(st.integers(1, 12))
+    picks = draw(st.lists(st.integers(0, len(kinds) - 1), min_size=n, max_size=n))
+    tasks = [
+        Task(name=f"t{i}", seq_time=kinds[k][0], model=kinds[k][1])
+        for i, k in enumerate(picks)
+    ]
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=2 * n)) if pairs else []
+    return TaskGraph(tasks, edges)
+
+
+#: Fixed inputs for the differential test.  A chain of alpha = 1 tasks
+#: gains nothing from any processor, and Downey tasks with A = 2,
+#: sigma = 0 stop gaining at m = 2: both leave the loop through the
+#: no-positive-gain exit.  The identical branches of the fork-join tie
+#: exactly on every gain and level, so the lowest index must grow first,
+#: as np.argmax picks.
+_FLAT_CHAIN = chain_graph([Task(f"t{i}", 600.0, AmdahlModel(1.0)) for i in range(4)])
+_PLATEAU_CHAIN = chain_graph(
+    [Task(f"t{i}", 600.0, DowneyModel(2.0, 0.0)) for i in range(4)]
+)
+_TIED_FORK = fork_join_graph(
+    Task("in", 60.0, AmdahlModel(0.1)),
+    [Task(f"b{i}", 3600.0, AmdahlModel(0.1)) for i in range(4)],
+    Task("out", 60.0, AmdahlModel(0.1)),
+)
 
 
 class TestCpaIncremental:
@@ -212,21 +289,36 @@ class TestCpaIncremental:
     @pytest.mark.parametrize("stopping", ["classic", "stringent"])
     def test_incremental_matches_full(self, seed, q, stopping):
         graph = random_task_graph(DagGenParams(n=40), make_rng(seed))
-        fast = cpa_allocation(graph, q, stopping=stopping, incremental=True)
-        full = cpa_allocation(graph, q, stopping=stopping, incremental=False)
-        # Frozen-dataclass equality covers allocations, exec times, T_CP,
-        # T_A, and the iteration count — all must be bit-identical.
-        assert fast == full
+        _assert_matches_seed(graph, q, stopping)
 
-    def test_module_flag_is_default(self):
-        graph = random_task_graph(DagGenParams(n=15), make_rng(3))
-        old = allocmod.INCREMENTAL_LEVELS
-        try:
-            allocmod.INCREMENTAL_LEVELS = False
-            default = cpa_allocation(graph, 8)
-        finally:
-            allocmod.INCREMENTAL_LEVELS = old
-        assert default == cpa_allocation(graph, 8, incremental=True)
+    @settings(max_examples=200, deadline=None)
+    @given(
+        graph=_dags(),
+        q=st.integers(1, 256),
+        stopping=st.sampled_from(["classic", "stringent"]),
+        cut=st.floats(0.0, 1.0, exclude_max=True),
+    )
+    @example(graph=_FLAT_CHAIN, q=16, stopping="classic", cut=0.0)
+    @example(graph=_PLATEAU_CHAIN, q=64, stopping="stringent", cut=0.5)
+    @example(graph=_TIED_FORK, q=16, stopping="classic", cut=0.3)
+    def test_matches_seed_loop(self, graph, q, stopping, cut):
+        # Also stopped by max_iterations, below the natural stop.
+        natural = _assert_matches_seed(graph, q, stopping)
+        if natural.iterations:
+            _assert_matches_seed(graph, q, stopping, int(cut * natural.iterations))
+
+    @pytest.mark.parametrize("q", [213, 224])
+    def test_benchmark_pool_shape(self, q):
+        # Table-1 n=10 / n=25 applications with tasks of at most 30
+        # minutes: the recurring DAG pool of the end-to-end benchmark.
+        shapes = {a.name: a.params for a in table1_app_scenarios()}
+        for shape in ("n=10", "n=25"):
+            for k in range(4):
+                graph = random_task_graph(
+                    replace(shapes[shape], max_seq_time=1800.0),
+                    derive_rng(2008, "e2ebench", "dag", shape, k),
+                )
+                _assert_matches_seed(graph, q, "stringent")
 
 
 # ----------------------------------------------------------------------
@@ -277,7 +369,7 @@ class TestBenchHarness:
         flags = (
             calmod.INDEX_MIN_SEGMENTS,
             calmod.VALIDATE_COMMITS,
-            allocmod.INCREMENTAL_LEVELS,
+            allocmod.MEMOIZE_ALLOCATIONS,
         )
         methods = (
             TaskGraph.bottom_levels,
@@ -285,8 +377,10 @@ class TestBenchHarness:
             ResourceCalendar.add,
             ResourceCalendar.reserve_known_feasible,
         )
+        loop = allocmod._cpa_allocation
         with seed_baseline():
-            assert allocmod.INCREMENTAL_LEVELS is False
+            assert allocmod._cpa_allocation is _seed_cpa_allocation
+            assert allocmod.MEMOIZE_ALLOCATIONS is False
             assert TaskGraph.bottom_levels is not methods[0]
             assert ResourceCalendar.add is not methods[2]
             assert ResourceCalendar.reserve_known_feasible is not methods[3]
@@ -300,8 +394,9 @@ class TestBenchHarness:
         assert flags == (
             calmod.INDEX_MIN_SEGMENTS,
             calmod.VALIDATE_COMMITS,
-            allocmod.INCREMENTAL_LEVELS,
+            allocmod.MEMOIZE_ALLOCATIONS,
         )
+        assert allocmod._cpa_allocation is loop
         assert TaskGraph.bottom_levels is methods[0]
         assert ResourceCalendar.earliest_starts_multi is methods[1]
         assert ResourceCalendar.add is methods[2]

@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from repro.errors import CalendarError
 
@@ -31,7 +30,7 @@ class Reservation:
     label: str = field(default="", compare=True)
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.start) and np.isfinite(self.end)):
+        if not (math.isfinite(self.start) and math.isfinite(self.end)):
             raise CalendarError(
                 f"reservation times must be finite, got [{self.start}, {self.end})"
             )

@@ -41,7 +41,7 @@ the service's placements are bitwise-identical to
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Any, Sequence
 
 from repro.calendar import Reservation, ResourceCalendar
@@ -233,11 +233,27 @@ class _Committed:
 
     request: StreamRequest
     arrival: float
-    #: task index -> the task's current calendar reservation.
-    reservations: dict[int, Reservation] = field(default_factory=dict)
+    #: The schedule committed at admission.
+    schedule: Schedule
     #: Sharded services: the shard each placement was committed to at
     #: admission, in placement order (journaled with the outcome).
     hosts: Sequence[int] | None = None
+    _reservations: dict[int, Reservation] | None = None
+
+    @property
+    def reservations(self) -> dict[int, Reservation]:
+        """task index -> the task's current calendar reservation.
+
+        Built from the admitted schedule on first use: until a fault,
+        a quota or load shedding looks at a booking, nothing has moved
+        it, and a run with none of them never needs the dict."""
+        if self._reservations is None:
+            graph = self.request.graph
+            self._reservations = {
+                p.task: p.as_reservation(graph.task(p.task).name)
+                for p in self.schedule.placements
+            }
+        return self._reservations
 
     @property
     def first_start(self) -> float:
@@ -410,8 +426,16 @@ class ReservationService:
                 (restored ones included) and return early without
                 draining trailing faults — the crash-simulation hook the
                 resume tests use.  ``None`` processes everything.
+
+        Raises:
+            ServiceError: Before any request is processed, if the
+                journal or the dead-letter file is corrupt or belongs
+                to a different run.
         """
         self._faults = self._fault_trace(requests)
+        if self._dead_log is not None:
+            # Refuse a corrupt quarantine file before anything is written.
+            self._dead_log.load()
         if self._journal is not None:
             if self._journal.open(self._fingerprint(requests)):
                 self._restore()
@@ -799,12 +823,8 @@ class ReservationService:
     def _register(
         self, request: StreamRequest, arrival: float, schedule: Schedule
     ) -> _Committed:
-        reservations = {
-            p.task: p.as_reservation(request.graph.task(p.task).name)
-            for p in schedule.placements
-        }
         committed = _Committed(
-            request=request, arrival=arrival, reservations=reservations
+            request=request, arrival=arrival, schedule=schedule
         )
         self._committed[request.request_id] = committed
         self._order.append(request.request_id)

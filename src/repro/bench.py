@@ -1009,11 +1009,13 @@ def run_benchmarks(*, quick: bool = False) -> dict[str, Any]:
             },
             "cpa_allocation": {"n_tasks": 60, "q": 32, "repeats": 2},
             "table4_cell": {"dag_instances": 2, "n_workers": 2, "repeats": 1},
+            # Five repeats: one ~50-140 ms replay per side is too short
+            # for a single run to gate on.
             "streamed_throughput": {
-                "n_requests": 100, "n_res": 1000, "repeats": 1,
+                "n_requests": 100, "n_res": 1000, "repeats": 5,
             },
             "service_faulted_stream": {
-                "n_requests": 100, "n_res": 1000, "repeats": 1,
+                "n_requests": 100, "n_res": 1000, "repeats": 5,
             },
             "sharded_throughput": {
                 "n_requests": 40, "n_res": 40000, "n_shards": 8,

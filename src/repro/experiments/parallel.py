@@ -48,8 +48,6 @@ order no matter which path (fresh run, retry, resume) produced them.
 from __future__ import annotations
 
 import atexit
-import base64
-import pickle
 import signal
 import threading
 import time
@@ -61,7 +59,7 @@ from typing import Any, Callable, Iterable, Iterator
 
 from repro.errors import ExecutionError, GenerationError
 from repro.experiments.runner import InstanceStream
-from repro.jsonlog import JsonLinesLog
+from repro.jsonlog import JsonLinesLog, encode_payload
 from repro.obs import core as _obs
 
 #: An instance-level computation: ``work(inst, **kwargs) -> result``.
@@ -392,19 +390,6 @@ class SweepOutcome:
     resumed: int = 0
 
 
-def _encode_payload(result: Any) -> dict[str, str]:
-    """Pickle-in-JSON: exact round-trip for arbitrary result objects
-    (tuples stay tuples, floats stay bitwise-equal) inside a JSON line."""
-    raw = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
-    return {"codec": "pickle", "data": base64.b64encode(raw).decode("ascii")}
-
-
-def _decode_payload(payload: dict[str, str]) -> Any:
-    if payload.get("codec") != "pickle":
-        raise ExecutionError(f"unknown journal codec {payload.get('codec')!r}")
-    return pickle.loads(base64.b64decode(payload["data"]))
-
-
 class _Journal:
     """Append-only JSON-lines checkpoint of a sweep.
 
@@ -439,7 +424,9 @@ class _Journal:
         for rec in records[1:]:
             if rec["type"] == "result":
                 done[rec["idx"]] = (
-                    rec["key"], _decode_payload(rec["payload"]), rec.get("obs"),
+                    rec["key"],
+                    self._log.decode_payload(rec["payload"]),
+                    rec.get("obs"),
                 )
             elif rec["type"] == "quarantine":
                 quarantined[rec["idx"]] = QuarantinedInstance(
@@ -450,7 +437,7 @@ class _Journal:
     def result(self, idx: int, key: str, result: Any, snap: dict | None) -> None:
         self._log.append({
             "type": "result", "idx": idx, "key": key,
-            "payload": _encode_payload(result), "obs": snap,
+            "payload": encode_payload(result), "obs": snap,
         })
 
     def quarantine(self, q: QuarantinedInstance) -> None:

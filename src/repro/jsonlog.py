@@ -16,15 +16,29 @@ which applies one rule:
 * a non-empty file without one whole record is some other file, or one
   whose first write never completed: loading refuses it rather than
   guess, and nothing is appended to it.
+
+Records that carry whole Python objects (the service's outcomes, the
+sweep's instance results) store them with one codec:
+:func:`encode_payload` and :meth:`JsonLinesLog.decode_payload`.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 import os
+import pickle
 from typing import Any
 
 from repro.errors import ReproError
+
+
+def encode_payload(obj: Any) -> dict[str, str]:
+    """Pickle-in-JSON: an exact round trip for any picklable object
+    (floats stay bitwise-equal, tuples stay tuples) inside one JSON
+    line.  :meth:`JsonLinesLog.decode_payload` is its inverse."""
+    raw = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
+    return {"codec": "pickle", "data": base64.b64encode(raw).decode("ascii")}
 
 
 class JsonLinesLog:
@@ -70,6 +84,19 @@ class JsonLinesLog:
             fh.write(json.dumps(record) + "\n")
             fh.flush()
             os.fsync(fh.fileno())
+
+    def decode_payload(self, payload: dict[str, str]) -> Any:
+        """The object :func:`encode_payload` stored in ``payload``.
+
+        Raises:
+            ReproError: The owner's error subclass, if the payload was
+                written with another codec.
+        """
+        if payload.get("codec") != "pickle":
+            raise self._error(
+                f"{self.path}: unknown payload codec {payload.get('codec')!r}"
+            )
+        return pickle.loads(base64.b64decode(payload["data"]))
 
     def _scan(self) -> tuple[list[Any], int]:
         """The whole records and the number of bytes they take up."""

@@ -10,12 +10,19 @@ breaks both assumptions:
 * :mod:`repro.resilience.repair` — pluggable repair policies
   (``local-rebook``, ``replan-remaining``, ``degrade-to-deadline``);
 * :mod:`repro.resilience.engine` — the event loop interleaving task
-  starts, runtime-noise kills, and fault events.
+  starts, runtime-noise kills, and fault events, and
+  :func:`~repro.resilience.engine.admit_window`, the one clip-then-revoke
+  rule for a competing window landing on booked reservations (the
+  online service applies its faults through it too).
 
 See ``docs/RESILIENCE.md``.
 """
 
-from repro.resilience.engine import ResilienceResult, execute_resilient
+from repro.resilience.engine import (
+    ResilienceResult,
+    admit_window,
+    execute_resilient,
+)
 from repro.resilience.faults import (
     FAULT_KINDS,
     FaultEvent,
@@ -38,6 +45,7 @@ __all__ = [
     "RepairAction",
     "RepairConfig",
     "ResilienceResult",
+    "admit_window",
     "execute_resilient",
     "faults_for_schedule",
     "generate_faults",

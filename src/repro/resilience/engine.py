@@ -9,14 +9,16 @@ interleaved with task starts in simulated-time order.  On each fault
 the engine
 
 1. updates the books — a ``cancel`` removes/truncates the competing
-   reservation; an ``arrival``/``downtime`` is admitted up to the
-   capacity left by *non-displaceable* occupancy (competitors plus
-   windows already paid for by started or killed attempts), denied when
-   nothing is left;
-2. revokes the application's unstarted bookings that now conflict,
-   latest booked start first, until the books are feasible again;
-3. hands the revoked tasks to the configured repair policy
+   reservation; an ``arrival``/``downtime`` goes through
+   :func:`admit_window` with the application's unstarted bookings as
+   the displaceable ones (competitors and windows already paid for by
+   started or killed attempts are not);
+2. hands the revoked tasks to the configured repair policy
    (:mod:`repro.resilience.repair`).
+
+:func:`admit_window` is the one clip-then-revoke rule of the package;
+the online service (:mod:`repro.service`) admits its fault windows
+through it too.
 
 With an empty fault trace and :class:`~repro.sim.noise.ExactRuntime`
 the engine reduces *exactly* to the planned schedule: same starts, same
@@ -29,7 +31,9 @@ counted through :mod:`repro.obs` (``resilience.*`` counters).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from typing import Callable, Iterable, TypeVar
 
 from repro.calendar import Reservation, ResourceCalendar
 from repro.dag import TaskGraph
@@ -52,17 +56,78 @@ from repro.units import HOUR
 from repro.workloads.reservations import ReservationScenario
 
 
-@dataclass
-class _Booking:
-    """A live (not yet consumed) reservation for one task."""
+_Key = TypeVar("_Key")
 
-    start: float
-    end: float
-    nprocs: int
 
-    @property
-    def length(self) -> float:
-        return self.end - self.start
+def admit_window(
+    host: ResourceCalendar,
+    window: Reservation,
+    displaceable: Iterable[tuple[_Key, Reservation]],
+    *,
+    add: Callable[[Reservation], None],
+    remove: Callable[[Reservation], None],
+) -> tuple[Reservation | None, list[_Key]]:
+    """Admit a competing window (an arrival or a downtime) onto
+    ``host``, displacing bookings that have not started.
+
+    The rule: clip ``window`` to the processors ``host`` leaves free
+    over it once the displaceable bookings are lifted, and deny it below
+    one processor.  Then revoke the overlapping displaceable bookings,
+    latest ``(start, key)`` first, until the clipped window fits.
+
+    Args:
+        host: The calendar the window lands on (the whole platform, or
+            the one shard a sharded service faults).
+        window: The requested window.
+        displaceable: ``(key, reservation)`` pairs of the bookings that
+            may be revoked; keys are distinct and sortable.  A booking
+            counts against ``host`` by value: when ``host`` holds fewer
+            copies of a value than there are such bookings (value-equal
+            twins hosted elsewhere), the latest-keyed twins stand for
+            the copies it holds.
+        add: Strictly books the clipped window on ``host``, raising
+            :class:`~repro.errors.CalendarError` when it does not fit.
+        remove: Withdraws one revoked booking from ``host``.
+
+    Returns:
+        The admitted window (``None`` when denied) and the keys of the
+        revoked bookings, in revocation order.
+
+    Raises:
+        RepairError: If revoking every candidate still leaves no room
+            (the clip rules this out).
+    """
+    t0, t1 = window.start, window.end
+    copies = Counter(r for r in host.reservations if r.start < t1 and t0 < r.end)
+    victims: list[tuple[_Key, Reservation]] = []
+    for key, res in sorted(
+        (kr for kr in displaceable if kr[1].start < t1 and t0 < kr[1].end),
+        key=lambda kr: (kr[1].start, kr[0]),
+        reverse=True,
+    ):
+        if copies[res]:
+            copies[res] -= 1
+            victims.append((key, res))
+    # Only reservations overlapping the window decide its minimum.
+    probe = ResourceCalendar(host.capacity, copies.elements())
+    m = min(window.nprocs, probe.min_available(t0, t1))
+    if m < 1:
+        return None, []
+    admitted = Reservation(t0, t1, m, window.label)
+    revoked: list[_Key] = []
+    while True:
+        try:
+            add(admitted)
+            return admitted, revoked
+        except CalendarError:
+            if len(revoked) == len(victims):  # pragma: no cover - defensive
+                raise RepairError(
+                    f"fault {window.label!r} cannot be honored: no "
+                    "revocable bookings left"
+                ) from None
+            key, res = victims[len(revoked)]
+            remove(res)
+            revoked.append(key)
 
 
 @dataclass(frozen=True)
@@ -197,12 +262,14 @@ def execute_resilient(
     # --- books ------------------------------------------------------
     ext: list[Reservation] = list(scenario.reservations)
     held: list[Reservation] = []  # consumed (paid) attempt windows
-    bookings: dict[int, _Booking] = {}
+    # Unstarted tasks: task -> the reservation booked for it on ``cal``,
+    # which holds ext + held + bookings at all times.
+    bookings: dict[int, Reservation] = {}
     planned_len: list[float] = [0.0] * n
     cal = ResourceCalendar(scenario.capacity, ext)
     for pl in schedule.placements:
-        cal.add(pl.as_reservation())
-        bookings[pl.task] = _Booking(pl.start, pl.finish, pl.nprocs)
+        bookings[pl.task] = pl.as_reservation()
+        cal.add(bookings[pl.task])
         planned_len[pl.task] = pl.duration
 
     # One noise factor per task, drawn in placement order — the same
@@ -229,26 +296,15 @@ def execute_resilient(
     repairs: list[RepairAction] = []
     repair_records: list[dict] = []
 
-    def _rebuild() -> None:
-        nonlocal cal
-        try:
-            cal = ResourceCalendar(
-                scenario.capacity,
-                ext + held + [
-                    Reservation(b.start, b.end, b.nprocs, label=f"task{i}")
-                    for i, b in bookings.items()
-                ],
-            )
-        except CalendarError as exc:  # pragma: no cover - invariant
-            raise RepairError(f"books became infeasible: {exc}") from exc
-
     def _fail(i: int, n_attempts: int, burned: float, reason: str) -> None:
         failed[i] = TaskFailure(
             task=i, attempts=n_attempts, booked_cpu_seconds=burned,
             reason=reason,
         )
         pending.discard(i)
-        bookings.pop(i, None)
+        b = bookings.pop(i, None)
+        if b is not None:
+            cal.remove(b)
         if _obs.ENABLED:
             _obs.incr("resilience.failures")
 
@@ -266,8 +322,6 @@ def execute_resilient(
             for i in casc:
                 _fail(i, 0, 0.0, "predecessor-failed")
             changed = True
-        if changed:
-            _rebuild()
         return changed
 
     def _floor_for(j: int, t: float) -> float:
@@ -318,16 +372,14 @@ def execute_resilient(
                 tasks=len(tasks),
             )
 
-    def _repair(t: float, trigger: str, revoked: "dict[int, _Booking]") -> None:
+    def _repair(t: float, trigger: str, revoked: "dict[int, Reservation]") -> None:
         """Hand revoked (or, for the replanning policies, all unstarted)
         tasks back to the policy."""
-        if policy == "local-rebook":
-            targets = dict(revoked)
-        else:
-            targets = dict(revoked)
+        targets = dict(revoked)
+        if policy != "local-rebook":
             for j in sorted(bookings):
                 targets[j] = bookings.pop(j)
-            _rebuild()
+                cal.remove(targets[j])
         if not targets:
             return
         # Tasks doomed by an already-failed ancestor, or out of
@@ -342,7 +394,6 @@ def execute_resilient(
             else:
                 alive.append(j)
         if not alive:
-            _rebuild()
             _cascade_failures()
             return
 
@@ -359,9 +410,10 @@ def execute_resilient(
                 alive.sort(key=lambda j: (schedule.start_of(j), j))
                 for j in alive:
                     b = targets[j]
-                    ws = cal.earliest_start(_floor_for(j, t), b.length, b.nprocs)
-                    cal.reserve(ws, b.length, b.nprocs, label=f"rebook-{j}")
-                    bookings[j] = _Booking(ws, ws + b.length, b.nprocs)
+                    ws = cal.earliest_start(_floor_for(j, t), b.duration, b.nprocs)
+                    bookings[j] = cal.reserve(
+                        ws, b.duration, b.nprocs, label=f"rebook-{j}"
+                    )
                     attempts[j] += 1
             else:
                 snap = snapshot_scenario(scenario, t, ext + held)
@@ -370,11 +422,14 @@ def execute_resilient(
                 sched2, old_to_new, note = replan_frontier(
                     graph, alive, floors, snap, cfg, deadline=K,
                 )
+                # The replan planned against exactly what ``cal`` holds
+                # now (ext + held), so its placements fit as they are.
                 for old, new in old_to_new.items():
                     pl = sched2.placements[new]
-                    bookings[old] = _Booking(pl.start, pl.finish, pl.nprocs)
+                    bookings[old] = cal.reserve_known_feasible(
+                        pl.start, pl.duration, pl.nprocs, label=f"task{old}"
+                    )
                     attempts[old] += 1
-                _rebuild()
         _record_repairs(t, trigger, list(targets), note)
         _cascade_failures()
 
@@ -387,12 +442,13 @@ def execute_resilient(
                 denied += 1  # unknown reservation: nothing to cancel
                 return
             idx = ext.index(r)
+            cal.remove(r)
             if t <= r.start:
                 del ext[idx]
             else:  # already running: release the remainder
                 ext[idx] = Reservation(r.start, t, r.nprocs, r.label)
+                cal.add(ext[idx])
             applied.append(ev)
-            _rebuild()
             if _obs.ENABLED:
                 _obs.incr("resilience.faults.cancel")
             # Freed capacity: the replanning policies re-optimize the
@@ -401,53 +457,25 @@ def execute_resilient(
                 _repair(t, ev.kind, {})
             return
 
-        # arrival | downtime: admitted against non-displaceable
-        # occupancy only (competitors + consumed windows); the
-        # application's unstarted bookings can be displaced.
-        r = ev.reservation
-        probe = ResourceCalendar(scenario.capacity, ext + held)
-        free = probe.min_available(r.start, r.end)
-        m = min(r.nprocs, free)
-        if m < 1:
+        # arrival | downtime: the application's unstarted bookings are
+        # the displaceable ones.
+        admitted, victims = admit_window(
+            cal, ev.reservation, bookings.items(),
+            add=cal.add, remove=cal.remove,
+        )
+        if admitted is None:
             denied += 1
             if _obs.ENABLED:
                 _obs.incr("resilience.faults.denied")
             return
-        admitted = Reservation(r.start, r.end, m, r.label)
         ext.append(admitted)
         applied.append(ev)
+        revoked = {j: bookings.pop(j) for j in victims}
+        revocations += len(revoked)
         if _obs.ENABLED:
             _obs.incr(f"resilience.faults.{ev.kind}")
-
-        # Revoke conflicting unstarted bookings, latest start first,
-        # until the books fit again.
-        revoked: dict[int, _Booking] = {}
-        while True:
-            try:
-                ResourceCalendar(
-                    scenario.capacity,
-                    ext + held + [
-                        Reservation(b.start, b.end, b.nprocs)
-                        for b in bookings.values()
-                    ],
-                )
-                break
-            except CalendarError:
-                cand = [
-                    i for i, b in bookings.items()
-                    if b.start < admitted.end and admitted.start < b.end
-                ]
-                if not cand:  # pragma: no cover - admission guarantees room
-                    raise RepairError(
-                        "capacity conflict not resolvable by revoking "
-                        "application bookings"
-                    )
-                j = max(cand, key=lambda i: (bookings[i].start, i))
-                revoked[j] = bookings.pop(j)
-                revocations += 1
-                if _obs.ENABLED:
-                    _obs.incr("resilience.revocations")
-        _rebuild()
+            if revoked:
+                _obs.incr("resilience.revocations", len(revoked))
         _repair(t, ev.kind, revoked)
 
     # --- event loop --------------------------------------------------
@@ -507,11 +535,10 @@ def execute_resilient(
             if attempts[i] >= cfg.max_attempts:
                 _fail(i, attempts[i], paid[i], "attempt-cap")
                 continue
-            new_len = cfg.grown_window(b.length, planned_len[i], dur)
+            new_len = cfg.grown_window(b.duration, planned_len[i], dur)
             floor = max(b.end, best_ready) + cfg.backoff(kills[i])
             ws = cal.earliest_start(floor, new_len, b.nprocs)
-            cal.reserve(ws, new_len, b.nprocs, label=f"rebook-{i}")
-            bookings[i] = _Booking(ws, ws + new_len, b.nprocs)
+            bookings[i] = cal.reserve(ws, new_len, b.nprocs, label=f"rebook-{i}")
             attempts[i] += 1
 
     # One span per whole execution run; with obs disabled even the

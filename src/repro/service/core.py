@@ -21,9 +21,10 @@ layers an online deployment needs:
 * **Mid-stream fault injection** — a deterministic
   :func:`repro.resilience.faults.generate_faults` trace is interleaved
   with the request stream by event time; competing arrivals and
-  downtimes revoke conflicting unstarted bookings (latest start first)
-  and the service rebooks them, cascading along precedence edges exactly
-  like the offline repair engine.
+  downtimes go through :func:`repro.resilience.admit_window`, the rule
+  the offline repair engine applies (clip, then revoke unstarted
+  bookings latest start first), and the service rebooks the revoked
+  tasks, cascading along precedence edges.
 * **Crash safety** — every processed record is checkpointed to an
   fsync'd JSON-lines :class:`~repro.service.journal.ServiceJournal`; a
   service restarted over the journal rebuilds its booking state bitwise
@@ -42,32 +43,24 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, fields
+from functools import partial
 from typing import Any, Sequence
 
 from repro.calendar import Reservation, ResourceCalendar
 from repro.core.incremental import PlanMemo
 from repro.core.ressched import ResSchedAlgorithm
 from repro.dag import TaskGraph
-from repro.errors import (
-    CalendarError,
-    RepairError,
-    ServiceError,
-    ShardCommitError,
-)
+from repro.errors import CalendarError, ServiceError, ShardCommitError
 from repro.experiments.stream import StreamRequest, StreamScheduler
 from repro.obs import core as _obs
 from repro.obs import stopwatch
 from repro.obs import timeline as _tl
+from repro.resilience import admit_window
 from repro.resilience.faults import FaultEvent, FaultModel, generate_faults
 from repro.rng import derive_rng
 from repro.schedule import Schedule, TaskPlacement
 from repro.service.config import ServiceConfig
-from repro.service.journal import (
-    DeadLetter,
-    DeadLetterLog,
-    ServiceJournal,
-    decode_payload,
-)
+from repro.service.journal import DeadLetter, DeadLetterLog, ServiceJournal
 from repro.shard import ShardedCalendar
 from repro.units import DAY
 from repro.workloads.reservations import ReservationScenario
@@ -376,9 +369,7 @@ class ReservationService:
         self._order: list[str] = []
         self._outcomes: list[ServiceOutcome] = []
         self._dead_letters: list[DeadLetter] = []
-        # Non-displaceable external occupancy: the scenario's competing
-        # reservations (cancel faults withdraw from here) plus every
-        # admitted fault window.
+        # The scenario's competing reservations not yet cancelled.
         self._ext: list[Reservation] = list(scenario.reservations)
         self._done = 0
         self._restoring = False
@@ -872,155 +863,53 @@ class ReservationService:
             self._scheduler.calendar.remove(target)
 
     def _apply_arrival(self, fault: FaultEvent, idx: int) -> None:
-        """An arrival/downtime window: clip it to the capacity left by
-        non-displaceable occupancy, then revoke conflicting unstarted
-        bookings (latest start first) until it fits, and rebook them."""
+        """An arrival/downtime window goes through
+        :func:`~repro.resilience.admit_window`; the displaceable
+        bookings are the unstarted ones, and their requests are rebooked.
+
+        Sharded, the window lands wholly on shard ``idx % K`` (trace
+        index mod K, deterministic across restores), so a big enough
+        fault takes the whole shard out; the rebooking probe runs
+        through the facade, so repairs land on whichever shard answers
+        earliest, migrating work off the faulted shard
+        (``shard.rebalances``)."""
         t = fault.time
         cal = self._scheduler.calendar
-        if isinstance(cal, ShardedCalendar) and cal.n_shards > 1:
-            self._apply_arrival_sharded(fault, idx, cal)
-            return
-        requested = fault.reservation
-        # Non-displaceable occupancy: external windows plus bookings
-        # already running at the fault instant.
-        started = [
-            res
+        unstarted = [
+            ((rid, task), res)
             for rid in self._order
-            for res in self._committed[rid].reservations.values()
-            if res.start <= t
+            for task, res in self._committed[rid].reservations.items()
+            if res.start > t
         ]
-        probe = ResourceCalendar(
-            cal.capacity, tuple(self._ext) + tuple(started)
-        )
-        free = probe.min_available(requested.start, requested.end)
-        m = min(requested.nprocs, free)
-        if m < 1:
+        origin: int | None = None
+        if isinstance(cal, ShardedCalendar):
+            k = origin = idx % cal.n_shards
+            admitted, victims = admit_window(
+                cal.shards[k],
+                fault.reservation,
+                unstarted,
+                add=partial(cal.add_to_shard, k),
+                remove=partial(cal.remove_from_shard, k),
+            )
+        else:
+            admitted, victims = admit_window(
+                cal, fault.reservation, unstarted, add=cal.add, remove=cal.remove
+            )
+        if admitted is None:
             self._faults_denied += 1
             if _obs.ENABLED and not self._restoring:
                 _obs.incr("service.faults.denied")
             return
-        admitted = Reservation(
-            start=requested.start,
-            end=requested.end,
-            nprocs=m,
-            label=requested.label,
-        )
         revoked: dict[str, dict[int, Reservation]] = {}
-        while True:
-            try:
-                cal.add(admitted)
-                break
-            except CalendarError:
-                victim = self._pick_victim(t, admitted)
-                if victim is None:  # pragma: no cover - defensive
-                    raise RepairError(
-                        f"fault {admitted.label!r} cannot be honored: no "
-                        "revocable bookings left"
-                    ) from None
-                rid, task = victim
-                res = self._committed[rid].reservations.pop(task)
-                cal.remove(res)
-                revoked.setdefault(rid, {})[task] = res
-                self._revocations += 1
-                if _obs.ENABLED and not self._restoring:
-                    _obs.incr("service.revocations")
-        self._ext.append(admitted)
+        for rid, task in victims:
+            res = self._committed[rid].reservations.pop(task)
+            revoked.setdefault(rid, {})[task] = res
+        self._revocations += len(victims)
+        if victims and _obs.ENABLED and not self._restoring:
+            _obs.incr("service.revocations", len(victims))
         for rid in self._order:
             if rid in revoked:
-                self._rebook(rid, revoked[rid], t)
-
-    def _apply_arrival_sharded(
-        self, fault: FaultEvent, idx: int, cal: ShardedCalendar
-    ) -> None:
-        """A sharded arrival/downtime window lands wholly on one shard
-        — trace index mod K, deterministic across restores — so a big
-        enough fault takes the whole shard out.  The window is clipped
-        to the capacity left by non-displaceable occupancy *on that
-        shard*, conflicting unstarted bookings hosted there are revoked
-        (latest start first), and the rebooking probe runs through the
-        facade — so repairs land on whichever shard answers earliest,
-        migrating work off the faulted shard (``shard.rebalances``)."""
-        t = fault.time
-        k = idx % cal.n_shards
-        shard = cal.shards[k]
-        requested = fault.reservation
-        # Non-displaceable occupancy on shard k: everything hosted there
-        # minus unstarted committed bookings (matched by value; a
-        # value-equal twin on the same shard is interchangeable for
-        # capacity accounting).
-        hosted = list(shard.reservations)
-        for rid in self._order:
-            for res in self._committed[rid].reservations.values():
-                if res.start > t and res in hosted:
-                    hosted.remove(res)
-        probe = ResourceCalendar(shard.capacity, tuple(hosted))
-        free = probe.min_available(requested.start, requested.end)
-        m = min(requested.nprocs, free)
-        if m < 1:
-            self._faults_denied += 1
-            if _obs.ENABLED and not self._restoring:
-                _obs.incr("service.faults.denied")
-            return
-        admitted = Reservation(
-            start=requested.start,
-            end=requested.end,
-            nprocs=m,
-            label=requested.label,
-        )
-        revoked: dict[str, dict[int, Reservation]] = {}
-        while True:
-            try:
-                cal.add_to_shard(k, admitted)
-                break
-            except CalendarError:
-                victim = self._pick_victim(t, admitted, hosted_by=shard)
-                if victim is None:  # pragma: no cover - defensive
-                    raise RepairError(
-                        f"fault {admitted.label!r} cannot be honored: no "
-                        f"revocable bookings left on shard {k}"
-                    ) from None
-                rid, task = victim
-                res = self._committed[rid].reservations.pop(task)
-                cal.remove_from_shard(k, res)
-                revoked.setdefault(rid, {})[task] = res
-                self._revocations += 1
-                if _obs.ENABLED and not self._restoring:
-                    _obs.incr("service.revocations")
-        self._ext.append(admitted)
-        for rid in self._order:
-            if rid in revoked:
-                self._rebook(rid, revoked[rid], t, origin_shard=k)
-
-    def _pick_victim(
-        self,
-        t: float,
-        window: Reservation,
-        *,
-        hosted_by: ResourceCalendar | None = None,
-    ) -> tuple[str, int] | None:
-        """The next booking to revoke: unstarted, overlapping the
-        contested window, latest ``(start, request, task)`` first —
-        later work yields to earlier work, deterministically.  With
-        ``hosted_by``, only bookings hosted by that shard calendar
-        qualify (the sharded fault path frees the contested shard)."""
-        members = (
-            None if hosted_by is None else list(hosted_by.reservations)
-        )
-        best: tuple[float, str, int] | None = None
-        for rid in self._order:
-            for task, res in self._committed[rid].reservations.items():
-                if res.start <= t:
-                    continue  # running bookings are contracts
-                if res.start >= window.end or res.end <= window.start:
-                    continue
-                if members is not None and res not in members:
-                    continue
-                key = (res.start, rid, task)
-                if best is None or key > best:
-                    best = key
-        if best is None:
-            return None
-        return best[1], best[2]
+                self._rebook(rid, revoked[rid], t, origin_shard=origin)
 
     def _rebook(
         self,
@@ -1115,7 +1004,7 @@ class ReservationService:
                     self._apply_fault(self._faults[idx], idx)
                     self._fault_pos = idx + 1
                 elif rec.get("type") == "outcome":
-                    outcome = decode_payload(rec["payload"])
+                    outcome = journal.decode_payload(rec["payload"])
                     self._replay_outcome(outcome, rec.get("shards"))
         finally:
             self._restoring = False

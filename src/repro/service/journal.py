@@ -22,29 +22,11 @@ retried, and never allowed to poison subsequent admissions.
 
 from __future__ import annotations
 
-import base64
-import pickle
 from dataclasses import asdict, dataclass
-from typing import Any, Iterator, Sequence
+from typing import Any, Sequence
 
 from repro.errors import ServiceError
-from repro.jsonlog import JsonLinesLog
-
-
-def encode_payload(obj: Any) -> dict[str, str]:
-    """Pickle-in-JSON: exact round-trip for arbitrary objects (floats
-    stay bitwise-equal, tuples stay tuples) inside one JSON line."""
-    raw = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-    return {"codec": "pickle", "data": base64.b64encode(raw).decode("ascii")}
-
-
-def decode_payload(payload: dict[str, str]) -> Any:
-    """Inverse of :func:`encode_payload`."""
-    if payload.get("codec") != "pickle":
-        raise ServiceError(
-            f"unknown journal codec {payload.get('codec')!r}"
-        )
-    return pickle.loads(base64.b64decode(payload["data"]))
+from repro.jsonlog import JsonLinesLog, encode_payload
 
 
 @dataclass(frozen=True)
@@ -154,6 +136,11 @@ class ServiceJournal:
             rec["shards"] = list(shards)
         self._log.append(rec)
 
+    def decode_payload(self, payload: dict[str, str]) -> Any:
+        """The outcome an ``outcome`` record's payload holds; raises
+        :class:`~repro.errors.ServiceError` for another codec."""
+        return self._log.decode_payload(payload)
+
     def record_fault(self, idx: int) -> None:
         """Checkpoint that fault ``idx`` of the deterministic trace was
         applied (the trace itself regenerates from the seed, so the
@@ -188,12 +175,3 @@ class DeadLetterLog:
                     f"{self.path}: line {lineno} is not a dead letter"
                 ) from None
         return letters
-
-
-def iter_outcome_payloads(
-    records: tuple[dict[str, Any], ...],
-) -> Iterator[Any]:
-    """Decode the outcome payloads of loaded journal records, in order."""
-    for rec in records:
-        if rec.get("type") == "outcome":
-            yield decode_payload(rec["payload"])

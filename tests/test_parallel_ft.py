@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 import time
 
@@ -164,6 +165,16 @@ class TestJournal:
         lines[2] = lines[2][: len(lines[2]) // 2] + "\n"
         path.write_text("".join(lines))
         with pytest.raises(ExecutionError, match=r"sweep\.jsonl: line 3 "):
+            run_sweep(_toy_work, _toy_stream, (N,), fault_tolerance=ft)
+
+    def test_payload_in_another_codec_refused(self, tmp_path):
+        path = tmp_path / "sweep.jsonl"
+        ft = FaultTolerance(journal=str(path))
+        run_sweep(_toy_work, _toy_stream, (N,), fault_tolerance=ft)
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        next(r for r in records if "payload" in r)["payload"]["codec"] = "marshal"
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        with pytest.raises(ExecutionError, match="unknown payload codec 'marshal'"):
             run_sweep(_toy_work, _toy_stream, (N,), fault_tolerance=ft)
 
     def test_file_without_a_whole_record_refused(self, tmp_path):

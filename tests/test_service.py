@@ -334,6 +334,26 @@ class TestCrashResume:
                 _scenario(), journal_path=str(journal), **FAULTED
             ).run(reqs)
 
+    def test_payload_in_another_codec_refused(self, tmp_path):
+        reqs = _requests(6)
+        journal = tmp_path / "svc.jsonl"
+        ReservationService(
+            _scenario(), journal_path=str(journal), **FAULTED
+        ).run(reqs, stop_after=4)
+        records = [
+            json.loads(line)
+            for line in journal.read_text(encoding="utf-8").splitlines()
+        ]
+        outcome = next(r for r in records if r.get("type") == "outcome")
+        outcome["payload"]["codec"] = "marshal"
+        journal.write_text(
+            "".join(json.dumps(r) + "\n" for r in records), encoding="utf-8"
+        )
+        with pytest.raises(ServiceError, match="unknown payload codec 'marshal'"):
+            ReservationService(
+                _scenario(), journal_path=str(journal), **FAULTED
+            ).run(reqs)
+
     @pytest.mark.parametrize(
         "name, kind",
         [("svc.jsonl", "service journal"),

@@ -692,8 +692,8 @@ def bench_streamed_throughput(
     one-shot API (an O(R log R) scenario rebuild per request).  Current
     path: one ``StreamScheduler`` admitting every request against a
     single generation-tagged calendar via
-    ``schedule_ressched_incremental`` — O(1)-amortized ready-queue
-    events and memoized plans.  Both place tasks with the same
+    ``schedule_ressched_incremental`` — memoized plans placed by the
+    same forward loop, with no rebuild.  Both place tasks with the same
     earliest-completion kernel.  Placements are asserted
     bitwise-identical before timing.
     """

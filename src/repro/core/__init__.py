@@ -6,15 +6,11 @@ from repro.core.bounds import BD_METHODS, allocation_bounds
 from repro.core.ressched import (
     RESSCHED_ALGORITHMS,
     ResSchedAlgorithm,
+    ResschedPlan,
+    build_plan,
     schedule_ressched,
 )
-from repro.core.incremental import (
-    PlanMemo,
-    ResschedPlan,
-    SchedulerState,
-    build_plan,
-    schedule_ressched_incremental,
-)
+from repro.core.incremental import PlanMemo, schedule_ressched_incremental
 from repro.core.deadline import (
     DEADLINE_ALGORITHMS,
     DeadlineAlgorithm,
@@ -39,7 +35,6 @@ __all__ = [
     "schedule_ressched",
     "PlanMemo",
     "ResschedPlan",
-    "SchedulerState",
     "build_plan",
     "schedule_ressched_incremental",
     "DeadlineAlgorithm",

@@ -55,12 +55,8 @@ def bl_exec_times(ctx: ProblemContext, method: str) -> np.ndarray:
 
 
 def bl_priority_order(ctx: ProblemContext, method: str) -> list[int]:
-    """Tasks in decreasing bottom-level order (the forward scheduling
-    order; reverse it for backward deadline scheduling).
-
-    Ties are broken by task index for determinism.  The order is always a
-    valid topological order because execution times are positive, so a
-    predecessor's bottom level strictly exceeds its successors'.
-    """
-    bl = ctx.graph.bottom_levels(bl_exec_times(ctx, method))
-    return sorted(range(ctx.graph.n), key=lambda i: (-bl[i], i))
+    """Tasks in decreasing ``method`` bottom-level order, as a topological
+    order (:meth:`~repro.dag.TaskGraph.priority_order`): the forward
+    scheduling order; reverse it for backward deadline scheduling."""
+    graph = ctx.graph
+    return graph.priority_order(graph.bottom_levels(bl_exec_times(ctx, method)))

@@ -52,11 +52,11 @@ class ProblemContext:
         """Total processors of the platform."""
         return self.scenario.capacity
 
-    @cached_property
+    @property
     def q(self) -> int:
         """P' — the historical average availability, as a processor count
-        (rounded, clamped to ``[1, p]``)."""
-        return int(min(max(round(self.scenario.hist_avg_available), 1), self.p))
+        (:attr:`~repro.workloads.reservations.ReservationScenario.hist_avg_procs`)."""
+        return self.scenario.hist_avg_procs
 
     @property
     def now(self) -> float:

@@ -2,8 +2,9 @@
 
 The paper's forward heuristic (§4.2) has two phases:
 
-1. Sort the tasks by decreasing bottom level, computed with one of the
-   BL methods (:mod:`repro.core.bottom_levels`).
+1. Order the tasks by decreasing bottom level, computed with one of the
+   BL methods (:mod:`repro.core.bottom_levels`), as a topological order
+   (:meth:`~repro.dag.TaskGraph.priority_order`).
 2. For each task in order, consider every processor count up to its
    bound (:mod:`repro.core.bounds`) and commit the <count, start> pair
    with the earliest completion time given the current reservation
@@ -31,6 +32,7 @@ from repro.core.context import ProblemContext
 from repro.dag import TaskGraph
 from repro.errors import GenerationError
 from repro.obs import core as _obs
+from repro.obs import timeline as _tl
 from repro.schedule import Schedule, TaskPlacement
 from repro.workloads.reservations import ReservationScenario
 
@@ -72,6 +74,41 @@ RESSCHED_ALGORITHMS: tuple[ResSchedAlgorithm, ...] = tuple(
 )
 
 
+@dataclass(frozen=True)
+class ResschedPlan:
+    """The immutable inputs one RESSCHED pass derives from its context.
+
+    Everything here depends only on the graph content, the platform size
+    ``p``, the rounded availability ``q``, and the algorithm — not on the
+    scheduling instant or the booked reservations — which is what makes
+    plans reusable across a request stream (see
+    :class:`~repro.core.incremental.PlanMemo`).
+
+    Attributes:
+        algorithm: The BL/BD combination the plan was built for.
+        order: The visiting order, a topological order by decreasing
+            bottom level (:func:`~repro.core.bottom_levels.bl_priority_order`).
+        bounds: Per-task allocation bounds (candidate counts ``1..b_i``).
+        exec_tables: Per-task execution-time vectors ``T_i(m)`` for
+            ``m = 1..p``; probes slice them to ``bounds``.
+    """
+
+    algorithm: ResSchedAlgorithm
+    order: tuple[int, ...]
+    bounds: np.ndarray
+    exec_tables: tuple[np.ndarray, ...]
+
+
+def build_plan(ctx: ProblemContext, algorithm: ResSchedAlgorithm) -> ResschedPlan:
+    """Derive the :class:`ResschedPlan` of one (context, algorithm) pair."""
+    return ResschedPlan(
+        algorithm=algorithm,
+        order=tuple(bl_priority_order(ctx, algorithm.bl)),
+        bounds=allocation_bounds(ctx, algorithm.bd),
+        exec_tables=tuple(ctx.exec_tables),
+    )
+
+
 def schedule_ressched(
     graph: TaskGraph,
     scenario: ReservationScenario,
@@ -104,6 +141,38 @@ def schedule_ressched(
         A complete, feasible schedule (RESSCHED always succeeds — the far
         future is always free).
     """
+    ctx = context or ProblemContext(graph, scenario, cpa_stopping=cpa_stopping)
+    if ctx.graph is not graph or ctx.scenario is not scenario:
+        raise GenerationError(
+            "provided context wraps a different graph or scenario"
+        )
+    return _forward(
+        graph,
+        build_plan(ctx, algorithm),
+        scenario.calendar(),
+        scenario.now,
+        tie_break,
+        ready_floors,
+    )
+
+
+def _forward(
+    graph: TaskGraph,
+    plan: ResschedPlan,
+    cal: "ResourceCalendar | ShardedCalendar",
+    now: float,
+    tie_break: str,
+    ready_floors: "Sequence[float] | None" = None,
+) -> Schedule:
+    """The one forward RESSCHED loop: place ``plan.order`` into ``cal``.
+
+    Each task becomes ready at ``max(now, its floor, its predecessors'
+    finishes)`` — final when it is visited, since the order is
+    topological — and is booked at its earliest completion there
+    (:func:`_place_task`).  Serves :func:`schedule_ressched` and the
+    streamed engine's
+    :func:`~repro.core.incremental.schedule_ressched_incremental`.
+    """
     # Plain ValueError, not GenerationError: these are argument-validation
     # failures of this call, not problem-generation faults (the taxonomy
     # in repro.errors reserves its types for domain failures).
@@ -116,44 +185,45 @@ def schedule_ressched(
             f"ready_floors must have one entry per task "
             f"({graph.n}), got {len(ready_floors)}"
         )
-    ctx = context or ProblemContext(graph, scenario, cpa_stopping=cpa_stopping)
-    if ctx.graph is not graph or ctx.scenario is not scenario:
-        raise GenerationError(
-            "provided context wraps a different graph or scenario"
-        )
-
-    order = bl_priority_order(ctx, algorithm.bl)
-    bounds = allocation_bounds(ctx, algorithm.bd)
-    cal = scenario.calendar()
-    now = scenario.now
-
-    placements: list[TaskPlacement | None] = [None] * graph.n
+    n = graph.n
+    preds = graph.predecessor_table
+    bounds = plan.bounds
+    tables = plan.exec_tables
+    name = plan.algorithm.name
+    placements: list[TaskPlacement | None] = [None] * n
+    finish = [0.0] * n
     prov: list[dict] | None = [] if _obs.ENABLED else None
 
     def _place_all() -> None:
-        for i in order:
+        for k, i in enumerate(plan.order):
             ready = now if ready_floors is None else max(now, float(ready_floors[i]))
-            for pred in graph.predecessors(i):
-                placement = placements[pred]
-                assert placement is not None, "bottom-level order broke precedence"
-                ready = max(ready, placement.finish)
-
+            for pred in preds[i]:
+                ready = max(ready, finish[pred])
+            durations = tables[i][: int(bounds[i])]
+            if _tl.ENABLED:
+                _tl.emit("task_ready", ready, n=1, pending=n - k)
+                _tl.emit(
+                    "probe_batch", ready, tasks=1, candidates=int(durations.size)
+                )
             start, m, dur = _place_task(
-                cal,
-                graph,
-                i,
-                ready,
-                ctx.exec_tables[i][: int(bounds[i])],
-                tie_break,
-                algorithm.name,
-                prov,
+                cal, graph, i, ready, durations, tie_break, name, prov
             )
             placements[i] = TaskPlacement(task=i, start=start, nprocs=m, duration=dur)
+            finish[i] = start + dur
+            if _tl.ENABLED:
+                _tl.emit(
+                    "task_placed",
+                    start,
+                    task=i,
+                    nprocs=m,
+                    duration=dur,
+                    finish=finish[i],
+                )
 
     # One span per whole schedule call, not per task; with obs disabled
     # even the no-op span call is skipped.
     if _obs.ENABLED:
-        with _obs.span(f"ressched.{algorithm.name}"):
+        with _obs.span(f"ressched.{name}"):
             _place_all()
     else:
         _place_all()
@@ -162,7 +232,7 @@ def schedule_ressched(
         graph=graph,
         now=now,
         placements=tuple(placements),  # type: ignore[arg-type]
-        algorithm=algorithm.name,
+        algorithm=name,
         provenance=tuple(prov) if prov is not None else None,
     )
 
@@ -183,7 +253,6 @@ def _place_task(
     placement came out of this calendar's own query, so the strict
     capacity re-validation is skipped.  With ``prov`` (obs enabled when
     the schedule started) the decision record is appended to it.
-    Shared by the batch and the incremental driver.
 
     Returns:
         ``(start, nprocs, duration)`` of the committed placement.

@@ -5,9 +5,9 @@ tasks are placed in decreasing bottom-level order at the earliest instant
 when their allocation is simultaneously free on a *reservation-free*
 cluster of ``q`` processors, never before their predecessors complete.
 
-Decreasing bottom-level order is always a valid topological order because
-a predecessor's bottom level strictly exceeds each successor's (execution
-times are positive).
+The order is :meth:`~repro.dag.TaskGraph.priority_order`, which stays
+topological even where float rounding gives a predecessor the same bottom
+level as its successor.
 
 This mapping serves two roles in the library: composed with the
 allocation phase it is the complete CPA scheduler (the no-reservation
@@ -66,8 +66,7 @@ def cpa_map(
     exec_t = np.array(
         [graph.task(i).exec_time(alloc[i]) for i in range(graph.n)]
     )
-    bl = graph.bottom_levels(exec_t)
-    order = sorted(range(graph.n), key=lambda i: (-bl[i], i))
+    order = graph.priority_order(graph.bottom_levels(exec_t))
 
     cal = IdleCluster(q)
     placements: list[TaskPlacement | None] = [None] * graph.n
@@ -75,7 +74,7 @@ def cpa_map(
         ready = start_time
         for pred in graph.predecessors(i):
             placement = placements[pred]
-            assert placement is not None, "bottom-level order broke precedence"
+            assert placement is not None  # the order is topological
             ready = max(ready, placement.finish)
         start = cal.earliest_start(ready, float(exec_t[i]), alloc[i])
         cal.reserve(start, float(exec_t[i]), alloc[i])

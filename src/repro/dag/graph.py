@@ -14,6 +14,7 @@ sources and sinks.
 
 from __future__ import annotations
 
+import heapq
 import struct
 from functools import cached_property
 from hashlib import blake2b
@@ -263,6 +264,32 @@ class TaskGraph:
             succs = self._succs[i]
             bl[i] = wl[i] + max(map(bl_get, succs)) if succs else wl[i]
         return np.asarray(bl)
+
+    def priority_order(self, levels: Sequence[float] | np.ndarray) -> list[int]:
+        """Tasks by decreasing ``levels`` (normally bottom levels), as a
+        topological order: the list schedulers' visiting order.
+
+        Kahn's algorithm with a ready heap keyed ``(-levels[i], i)``: the
+        next task is the ready one with the largest level, ties broken by
+        task index.  When ``levels`` strictly decreases along every edge
+        this is ``sorted(range(n), key=lambda i: (-levels[i], i))``; unlike
+        that sort it stays topological when float rounding gives a
+        predecessor the same bottom level as its successor (a task whose
+        time vanishes next to its successor's).
+        """
+        key = [-x for x in np.asarray(levels, dtype=float).tolist()]
+        indegree = [len(preds) for preds in self._preds]
+        heap = [(key[i], i) for i in range(self.n) if not indegree[i]]
+        heapq.heapify(heap)
+        order: list[int] = []
+        while heap:
+            i = heapq.heappop(heap)[1]
+            order.append(i)
+            for j in self._succs[i]:
+                indegree[j] -= 1
+                if not indegree[j]:
+                    heapq.heappush(heap, (key[j], j))
+        return order
 
     def top_levels(self, exec_times: Sequence[float] | np.ndarray) -> np.ndarray:
         """Top level of each task: longest path weight from any source to

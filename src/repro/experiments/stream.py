@@ -29,7 +29,7 @@ Counters (``stream.*`` family, in RunReports when instrumented):
 counter                         meaning
 ==============================  ========================================
 ``stream.requests``             requests admitted
-``stream.events``               task-completion events processed
+``stream.events``               tasks the streamed engine placed
 ``stream.batched_probes``       placement probes (one per task)
 ``stream.probe_tasks``          tasks probed by them
 ``stream.memo.hit`` / ``.miss`` plan-memo hits / misses (repeated DAG
@@ -39,8 +39,8 @@ counter                         meaning
 
 When :data:`repro.obs.timeline.ENABLED` is on, every admission also
 emits timed events (``request_arrived``, ``placement_committed`` or
-``request_rejected``) under the request's trace id, and the probe /
-ready-queue layers underneath inherit that trace scope — see
+``request_rejected``) under the request's trace id, and the forward
+loop's per-task events underneath inherit that trace scope — see
 ``docs/OBSERVABILITY.md``.
 """
 
@@ -323,7 +323,6 @@ class StreamScheduler:
         )
         return schedule_ressched_incremental(
             request.graph,
-            self._scenario,
             self._algorithm,
             tie_break=self._tie_break,
             calendar=calendar,

@@ -36,10 +36,6 @@ from repro.multi.schedule import MultiPlacement, MultiSchedule
 from repro.shard import ShardedCalendar
 
 
-def _cluster_q(cluster) -> int:
-    return int(min(max(round(cluster.hist_avg_available), 1), cluster.capacity))
-
-
 def schedule_ressched_multi(
     graph: TaskGraph,
     scenario: MultiClusterScenario,
@@ -73,15 +69,14 @@ def schedule_ressched_multi(
             bounds[cluster.name] = np.full(graph.n, cluster.capacity, dtype=int)
         else:
             alloc = cpa_allocation(
-                graph, _cluster_q(cluster), stopping=cpa_stopping
+                graph, cluster.hist_avg_procs, stopping=cpa_stopping
             )
             bounds[cluster.name] = np.array(alloc.allocations, dtype=int)
 
     # Bottom levels: CPA execution times at the largest cluster P'.
-    yardstick_q = max(_cluster_q(c) for c in scenario.clusters)
+    yardstick_q = max(c.hist_avg_procs for c in scenario.clusters)
     bl_alloc = cpa_allocation(graph, yardstick_q, stopping=cpa_stopping)
-    bl = graph.bottom_levels(bl_alloc.exec_times_array)
-    order = sorted(range(graph.n), key=lambda i: (-bl[i], i))
+    order = graph.priority_order(graph.bottom_levels(bl_alloc.exec_times_array))
 
     # One shard per cluster; shard id == cluster position.
     platform = ShardedCalendar([c.calendar() for c in scenario.clusters])
@@ -96,7 +91,7 @@ def schedule_ressched_multi(
         ready = now
         for pred in graph.predecessors(i):
             placement = placements[pred]
-            assert placement is not None, "bottom-level order broke precedence"
+            assert placement is not None  # the order is topological
             ready = max(ready, placement.finish)
 
         requests = [

@@ -23,8 +23,9 @@ consumers — the Chrome-trace exporter here and the SLO folder in
 ``request_arrived``       a stream request entered the scheduler
 ``request_rejected``      admission control turned a request away
 ``placement_committed``   a request's placements were committed
-``probe_batch``           one batched earliest-start probe was served
-``task_ready``            tasks entered a ready queue
+``probe_batch``           one task's earliest-completion probe was served
+``task_ready``            one task became ready (``n=1``; ``pending`` =
+                          its DAG's tasks not yet placed)
 ``task_placed``           one task was placed on the calendar
 ``repair_triggered``      the resilience engine repaired a fault
 ``fault_applied``         a mid-stream fault perturbed the calendar

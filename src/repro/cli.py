@@ -102,8 +102,9 @@ def _cmd_info(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_scenario(args: argparse.Namespace):
-    graph = from_json(Path(args.dag).read_text())
+def _load_platform(args: argparse.Namespace):
+    """The reservation scenario named by ``--preset``, ``--log`` (or a
+    log generated from ``--seed``), ``--phi`` and ``--method``."""
     params = preset(args.preset)
     if args.log:
         with open(args.log) as fh:
@@ -112,11 +113,15 @@ def _load_scenario(args: argparse.Namespace):
         jobs = generate_log(params, make_rng(args.seed))
     rng = make_rng(args.seed + 1)
     now = pick_scheduling_time(jobs, rng)
-    scenario = build_reservation_scenario(
+    return build_reservation_scenario(
         jobs, params.n_procs, phi=args.phi, now=now, method=args.method,
         rng=rng,
     )
-    return graph, scenario
+
+
+def _load_scenario(args: argparse.Namespace):
+    graph = from_json(Path(args.dag).read_text())
+    return graph, _load_platform(args)
 
 
 def _cmd_schedule(args: argparse.Namespace) -> int:
@@ -361,18 +366,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
 
     specs = load_request_stream(args.requests)
     graphs = [from_json(Path(p).read_text()) for p in args.dag]
-    params = preset(args.preset)
-    if args.log:
-        with open(args.log) as fh:
-            jobs = parse_swf(fh)
-    else:
-        jobs = generate_log(params, make_rng(args.seed))
-    rng = make_rng(args.seed + 1)
-    now = pick_scheduling_time(jobs, rng)
-    scenario = build_reservation_scenario(
-        jobs, params.n_procs, phi=args.phi, now=now, method=args.method,
-        rng=rng,
-    )
+    scenario = _load_platform(args)
     algorithm = _parse_ressched_algorithm(args.algorithm)
     requests = requests_from_specs(specs, graphs)
 
@@ -440,18 +434,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     specs = load_request_stream(args.requests)
     graphs = [from_json(Path(p).read_text()) for p in args.dag]
-    params = preset(args.preset)
-    if args.log:
-        with open(args.log) as fh:
-            jobs = parse_swf(fh)
-    else:
-        jobs = generate_log(params, make_rng(args.seed))
-    rng = make_rng(args.seed + 1)
-    now = pick_scheduling_time(jobs, rng)
-    scenario = build_reservation_scenario(
-        jobs, params.n_procs, phi=args.phi, now=now, method=args.method,
-        rng=rng,
-    )
+    scenario = _load_platform(args)
     algorithm = _parse_ressched_algorithm(args.algorithm)
     requests = requests_from_specs(specs, graphs)
     model = FaultModel.from_rate(args.faults) if args.faults > 0 else None

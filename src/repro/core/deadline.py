@@ -136,8 +136,12 @@ def _pick_latest(
     per-count latest-start array (NaN = infeasible; provenance records
     read the losers off it) — or None when no count fits before ``dl_i``.
     Ties go to fewer processors (``nanargmax`` returns the first max).
+    A count whose duration vanishes in its start's rounding
+    (``start + d == start``) has no bookable window and counts as
+    infeasible.
     """
     starts = cal.latest_starts_multi(dl_i, durations, earliest=now)
+    starts[starts + durations <= starts] = np.nan
     if np.isnan(starts).all():
         return None
     j = int(np.nanargmax(starts))
@@ -215,7 +219,9 @@ def _schedule_backward(
                 starts = cal.earliest_starts_multi(
                     max(earliest_i, threshold), d, m_offset=base
                 )
-                ok = starts + d <= dl_i + TIME_EPS
+                fin = starts + d
+                # A window must also end after it starts to be bookable.
+                ok = (fin <= dl_i + TIME_EPS) & (fin > starts)
                 if prov is not None:
                     _obs.incr("deadline.probe_windows")
                     _obs.incr("deadline.placement_probes", int(d.size))

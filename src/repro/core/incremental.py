@@ -128,7 +128,5 @@ def schedule_ressched_incremental(
         )
     schedule = _forward(graph, plan, calendar, float(now), tie_break)
     if _obs.ENABLED:
-        _obs.incr("stream.batched_probes", graph.n)
-        _obs.incr("stream.probe_tasks", graph.n)
         _obs.incr("stream.events", graph.n)
     return schedule

@@ -1,8 +1,8 @@
 """Sweep-facing policy for result caches (`repro.experiments.memo`).
 
 The mechanism lives next to what it caches — the allocation memo in
-:mod:`repro.cpa.allocation`, the availability index and calendar query
-memos in :mod:`repro.calendar.calendar` — because the core layers cannot
+:mod:`repro.cpa.allocation`, the availability index in
+:mod:`repro.calendar.calendar` — because the core layers cannot
 import the experiments package.  This module is the experiments-side
 policy surface: one place for a sweep driver (or a test, or the bench
 harness) to toggle, clear, and introspect every cache at once.
@@ -14,9 +14,6 @@ namespace of a RunReport):
 layer                     counters
 ========================  ==========================================
 allocation memo           ``cache.alloc.hit`` / ``.miss`` / ``.evict``
-calendar free-run memo    ``cache.calendar.runs.hit`` / ``.miss``
-calendar multi-query memo ``cache.calendar.multi.hit`` / ``.miss`` /
-                          ``.evict``
 availability index        ``cache.calendar.index_build``
 cache invalidation        ``cache.calendar.invalidate`` (one per commit
                           generation)
@@ -57,7 +54,6 @@ def cache_stats() -> dict[str, Any]:
         "alloc_memo": _allocmod.memo_stats(),
         "calendar": {
             "index_min_segments": _calmod.INDEX_MIN_SEGMENTS,
-            "multi_cache_cap": _calmod._MULTI_CACHE_CAP,
         },
     }
 

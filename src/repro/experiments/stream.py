@@ -30,8 +30,6 @@ counter                         meaning
 ==============================  ========================================
 ``stream.requests``             requests admitted
 ``stream.events``               tasks the streamed engine placed
-``stream.batched_probes``       placement probes (one per task)
-``stream.probe_tasks``          tasks probed by them
 ``stream.memo.hit`` / ``.miss`` plan-memo hits / misses (repeated DAG
                                 shapes cost zero allocation work)
 ``stream.rejected``             requests turned away by admission control

@@ -970,10 +970,11 @@ class MemoInvalidationRule(Rule):
     rule_id = "REP006"
     title = "memo-invalidation"
     rationale = (
-        "Cache coherence (PR 4): the availability index and the query "
-        "memos are valid only for the commit generation they were built "
-        "in.  Any method that changes a ResourceCalendar's logical state "
-        "must call _invalidate_caches() (or bump _generation); "
+        "Cache coherence: the availability index is valid only for the "
+        "commit generation it was built in, and the generation is the "
+        "service's commit token.  Any method that changes a "
+        "ResourceCalendar's logical state must call "
+        "_invalidate_caches() (or bump _generation); "
         "StepFunction is immutable outside construction, full stop."
     )
 

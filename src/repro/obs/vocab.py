@@ -46,11 +46,6 @@ COUNTERS: frozenset[str] = frozenset(
         "cache.alloc.miss",
         "cache.calendar.index_build",
         "cache.calendar.invalidate",
-        "cache.calendar.multi.evict",
-        "cache.calendar.multi.hit",
-        "cache.calendar.multi.miss",
-        "cache.calendar.runs.hit",
-        "cache.calendar.runs.miss",
         # -- calendar hot path -------------------------------------------
         "calendar.add.rebuild",
         "calendar.add.splice",
@@ -108,12 +103,10 @@ COUNTERS: frozenset[str] = frozenset(
         "shard.probes",
         "shard.rebalances",
         # -- streamed engine ---------------------------------------------
-        "stream.batched_probes",
         "stream.events",
         "stream.memo.evict",
         "stream.memo.hit",
         "stream.memo.miss",
-        "stream.probe_tasks",
         "stream.rejected",
         "stream.requests",
     }

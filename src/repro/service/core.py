@@ -610,12 +610,9 @@ class ReservationService:
                 if _tl.ENABLED:
                     _tl.pop_trace()
             # Simulated plan->commit latency: faults landing inside the
-            # window invalidate the CAS token.
+            # window mutate ``base`` in place and invalidate the CAS token.
             self._apply_faults_until(now + cfg.commit_latency)
-            cal = self._scheduler.calendar
-            if cal is not base:
-                conflicted = True
-            elif isinstance(base, ShardedCalendar) and isinstance(
+            if isinstance(base, ShardedCalendar) and isinstance(
                 target, ShardedCalendar
             ):
                 # Two-phase sharded commit: compare only the shard legs
@@ -628,7 +625,7 @@ class ReservationService:
                 except ShardCommitError:
                     conflicted = True
             else:
-                conflicted = cal.generation != token
+                conflicted = base.generation != token
             if conflicted:
                 conflicts += 1
                 if _obs.ENABLED:
@@ -640,7 +637,7 @@ class ReservationService:
                         trace=request.request_id,
                         tenant=request.tenant,
                         attempt=conflicts,
-                        generation=cal.generation,
+                        generation=base.generation,
                         token=token,
                     )
                 if conflicts > cfg.commit_retry_cap:
@@ -932,7 +929,16 @@ class ReservationService:
         creq = self._committed[rid]
         graph = creq.request.graph
         cal = self._scheduler.calendar
-        sharded = isinstance(cal, ShardedCalendar) and cal.n_shards > 1
+        # Migrations are counted only when instrumented: finding a moved
+        # booking's shard scans every shard's reservations.
+        counted = (
+            cal
+            if isinstance(cal, ShardedCalendar)
+            and cal.n_shards > 1
+            and _obs.ENABLED
+            and not self._restoring
+            else None
+        )
         for task in graph.topological_order:
             origin = origin_shard
             old = revoked.get(task)
@@ -943,9 +949,8 @@ class ReservationService:
                 floor = self._pred_floor(creq, graph, task, t)
                 if floor <= current.start:
                     continue  # precedence still satisfied in place
-                if sharded:
-                    assert isinstance(cal, ShardedCalendar)
-                    origin = cal.shard_of(current)
+                if counted is not None:
+                    origin = counted.shard_of(current)
                 cal.remove(current)
                 old = current
             else:
@@ -957,13 +962,11 @@ class ReservationService:
             )
             self._rebooked += 1
             if (
-                sharded
+                counted is not None
                 and origin is not None
-                and isinstance(cal, ShardedCalendar)
-                and cal.last_commit_shard != origin
+                and counted.last_commit_shard != origin
             ):
-                if _obs.ENABLED and not self._restoring:
-                    _obs.incr("shard.rebalances")
+                _obs.incr("shard.rebalances")
             if _obs.ENABLED and not self._restoring:
                 _obs.incr("service.rebooked")
 

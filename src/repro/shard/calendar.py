@@ -1,13 +1,13 @@
 """Sharded resource calendar: K partitions behind one facade.
 
 The single process-local :class:`~repro.calendar.ResourceCalendar` is
-the streamed engine's throughput ceiling: every probe memo, every
+the streamed engine's throughput ceiling: every placement probe, every
 availability splice, and every :class:`AvailabilityIndex` rebuild
 serializes through one compiled profile, so one commit invalidates the
 caches for the *entire* platform.  :class:`ShardedCalendar` partitions
 the platform into ``K`` shards — each an independent strict
-``ResourceCalendar`` with its own profile, index, query memos, and
-generation counter — and recovers the calendar API on top:
+``ResourceCalendar`` with its own profile, index, and generation
+counter — and recovers the calendar API on top:
 
 * **Probes fan out, reduced deterministically.**
   :meth:`earliest_completion` runs the earliest-completion kernel once
@@ -41,7 +41,7 @@ generation counter — and recovers the calendar API on top:
 
 * **K = 1 reduces bitwise to the unsharded engine.**  With one shard
   every facade method short-circuits to the underlying calendar — same
-  arrays, same memo keys, same generation arithmetic — which the test
+  arrays, same generation arithmetic — which the test
   suite and the bench gate assert via report digests.
 
 Competing (external) reservations are spread across shards by
@@ -346,8 +346,7 @@ class ShardedCalendar:
         ``(earliest_start, shard_id)`` reduce.  Each shard answers with
         :meth:`~repro.calendar.ResourceCalendar.earliest_starts_multi`
         on the durations truncated to its capacity.  With one shard
-        this is the shard's own batch verbatim (same memo keys, same
-        arrays).
+        this is the shard's own batch verbatim (same arrays).
         """
         if len(self._shards) == 1:
             return self._shards[0].earliest_starts_batch(requests)

@@ -157,11 +157,9 @@ class TestIndexedVsLinear:
             )
         )
         with _Linear():
-            cal._multi_cache = {}
             want_e = cal.earliest_starts_multi(earliest, d)
             want_l = cal.latest_starts_multi(finish, d, earliest=earliest)
         with _Forced():
-            cal._multi_cache = {}
             got_e = cal.earliest_starts_multi(earliest, d)
             got_l = cal.latest_starts_multi(finish, d, earliest=earliest)
         assert np.array_equal(want_e, got_e)

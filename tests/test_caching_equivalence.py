@@ -1,6 +1,6 @@
 """Acceptance: the full Table 4 and Table 6 suites are bitwise-identical
-with every cache layer (availability index, calendar memos, allocation
-memo) forced on vs forced off.
+with every cache layer (availability index, allocation memo) forced on
+vs forced off.
 
 This is the end-to-end counterpart of the per-primitive property tests
 in ``tests/test_availability_index.py``: whatever the schedulers ask of

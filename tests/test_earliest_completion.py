@@ -347,8 +347,7 @@ class TestDrivers:
         with tl.recording(sim_epoch=0.0) as timeline:
             with obs.instrumented() as col:
                 StreamScheduler(scenario).run(reqs)
-        assert col.counters["stream.batched_probes"] == n_tasks
-        assert col.counters["stream.probe_tasks"] == n_tasks
+        assert col.counters["stream.events"] == n_tasks
         probes = [ev for ev in timeline.events if ev["type"] == "probe_batch"]
         assert len(probes) == n_tasks
         assert all(ev["tasks"] == 1 for ev in probes)

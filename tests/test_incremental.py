@@ -234,7 +234,6 @@ class TestBatchQuery:
             for _ in range(n_reqs)
         ]
         batch = cal.earliest_starts_batch(requests)
-        cal._multi_cache = {}  # force the per-call kernel to recompute
         for (earliest, durations), got in zip(requests, batch):
             expect = cal.earliest_starts_multi(earliest, durations)
             assert np.array_equal(got, expect)
@@ -242,11 +241,11 @@ class TestBatchQuery:
     def test_memo_interop_both_directions(self):
         cal = self._calendar(7)
         durations = np.array([1_000.0, 700.0, 500.0])
-        # multi primes the cache; batch must return the same array values
+        # multi first, then batch: the same array values
         a = cal.earliest_starts_multi(50.0, durations)
         b = cal.earliest_starts_batch([(50.0, durations)])[0]
         assert np.array_equal(a, b)
-        # batch primes the cache; multi must hit it
+        # batch first, then multi
         c = cal.earliest_starts_batch([(60.0, durations)])[0]
         d = cal.earliest_starts_multi(60.0, durations)
         assert np.array_equal(c, d)

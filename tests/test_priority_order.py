@@ -13,11 +13,11 @@ successor first.
 from __future__ import annotations
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
+    DEADLINE_ALGORITHMS,
     ProblemContext,
     ResSchedAlgorithm,
     build_plan,
@@ -33,8 +33,8 @@ from repro.core.bottom_levels import (
 from repro.core.opaque import schedule_ressched_opaque
 from repro.cpa import cpa_map
 from repro.dag import Task, TaskGraph
-from repro.errors import ReproError
 from repro.multi import MultiClusterScenario, schedule_ressched_multi
+from repro.schedule import validate_schedule
 from repro.workloads.reservations import ReservationScenario
 
 
@@ -91,11 +91,19 @@ class TestVanishingPredecessor:
         assert _signature(schedule) == self.EXPECTED
 
     def test_deadline_fails_as_a_domain_error(self):
-        # The backward pass now visits the chain in reverse topological
-        # order; the vanishing task's window is too short to book at the
-        # deadline, which is a domain failure, not a broken invariant.
-        with pytest.raises(ReproError):
-            schedule_deadline(_chain(), _empty(), 10_000.0, "DL_BD_CPAR")
+        # The backward pass visits the chain in reverse topological
+        # order.  The aggressive rule books "big" flush against the
+        # deadline, where "tiny"'s duration vanishes in the start's
+        # rounding: no count has a bookable window, so the verdict is
+        # infeasible.  The resource-conservative rules book "tiny" at 0.
+        for name in DEADLINE_ALGORITHMS:
+            result = schedule_deadline(_chain(), _empty(), 10_000.0, name)
+            if name.startswith("DL_BD_"):
+                assert not result.feasible, name
+                assert result.schedule is None, name
+            else:
+                assert result.feasible, name
+                validate_schedule(result.schedule, 16, deadline=10_000.0)
 
     def test_multi_cluster_respects_precedence(self):
         graph = _chain()

@@ -253,10 +253,6 @@ class TestAdmissionControl:
         counters = doc["counters"]
         assert counters["stream.requests"] == 6
         assert counters["stream.events"] == sum(r.graph.n for r in reqs)
-        assert counters["stream.batched_probes"] >= 1
-        assert counters["stream.probe_tasks"] >= counters["stream.events"] - (
-            counters.get("stream.probe_reused", 0)
-        )
         assert counters["stream.memo.miss"] >= 1
 
 

@@ -5,7 +5,7 @@ The mechanism lives next to what it caches — the allocation memo in
 :mod:`repro.calendar.calendar` — because the core layers cannot
 import the experiments package.  This module is the experiments-side
 policy surface: one place for a sweep driver (or a test, or the bench
-harness) to toggle, clear, and introspect every cache at once.
+harness) to toggle and introspect every cache at once.
 
 Cache layers and their obs counters (all under the ``cache.*``
 namespace of a RunReport):
@@ -36,16 +36,6 @@ from typing import Any, Iterator
 
 from repro.calendar import calendar as _calmod
 from repro.cpa import allocation as _allocmod
-
-
-def clear_caches() -> None:
-    """Drop every process-level result cache (the allocation memo).
-
-    Calendar-local caches die with their calendars and need no global
-    clear.  Benchmarks call this between timed repetitions so each
-    repetition pays (or saves) the same work.
-    """
-    _allocmod.clear_memo()
 
 
 def cache_stats() -> dict[str, Any]:

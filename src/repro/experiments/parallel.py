@@ -1,10 +1,12 @@
-"""Deterministic parallel execution of instance streams.
+"""Deterministic, crash-tolerant execution of instance streams.
 
-The table drivers all share one shape of work: enumerate a fully
-deterministic instance stream (:mod:`repro.experiments.runner`) and run
-an independent, instance-local computation on each element.  This module
-fans that shape out over a :class:`~concurrent.futures.ProcessPoolExecutor`
-while keeping the results **bitwise identical at any worker count**:
+Every table driver and the repair-policy study do one job: enumerate a
+fully deterministic instance stream (:mod:`repro.experiments.runner`),
+run an independent, instance-local computation on each element, and
+fold the results in global index order.  :func:`run_sweep` is the one
+driver for that job.  It runs inline at ``n_workers=1`` and otherwise
+fans out over a :class:`~concurrent.futures.ProcessPoolExecutor`, keeping
+the results **bitwise identical at any worker count**:
 
 * The stream is never pickled.  Each worker receives only the stream
   *factory*, its arguments (an :class:`ExperimentScale` is a small frozen
@@ -12,10 +14,10 @@ while keeping the results **bitwise identical at any worker count**:
   locally and processes the instances whose global index ``idx`` satisfies
   ``idx % n_chunks == chunk``.  Streams derive every random object from
   the scale's seed and a structural key, so regeneration is exact.
-* Workers return ``(idx, scenario_key, result)`` triples; the parent
-  merges all chunks **sorted by global index** before accumulating, so
-  float accumulation order — and therefore every summary statistic — is
-  identical to the serial run.
+* Workers return ``(idx, scenario_key, result, obs)`` entries; the parent
+  folds all chunks **sorted by global index**, so float accumulation
+  order — and therefore every summary statistic — is identical to the
+  serial run.
 * Logs are materialized inside each worker as a pure function of
   ``(log_name, seed)`` (:func:`repro.experiments.runner._cached_log`), so
   no multi-megabyte job tuples cross the process boundary.
@@ -32,17 +34,21 @@ while keeping the results **bitwise identical at any worker count**:
   the serial path drops them too so serial and parallel aggregates
   match exactly.
 
-``n_workers=1`` bypasses the pool entirely and runs inline (but still
-collects per instance, so serial and parallel aggregates match exactly).
-
-:func:`run_sweep` is the fault-tolerant entry point on top of the same
-machinery: per-instance timeouts (SIGALRM inside the worker), chunk
-retry with exponential backoff after a worker crash, per-instance
-isolation and quarantine of the crashing instance when retries are
-exhausted, and an optional JSON-lines journal for checkpoint/resume.
+Every instance runs guarded: one that times out (SIGALRM inside the
+worker, when :class:`FaultTolerance` sets a timeout), raises, or crashes
+its worker is quarantined instead of aborting the sweep.  A chunk lost
+to a dead worker is retried against a fresh pool with exponential
+backoff, then isolated instance by instance, so only the crashing
+instance is lost.  An optional JSON-lines journal checkpoints every
+finished instance so an interrupted sweep resumes where it stopped.
 Completed instances keep the bitwise-identical-at-any-worker-count
-guarantee: results and instrumentation are folded in global index
-order no matter which path (fresh run, retry, resume) produced them.
+guarantee whichever path (fresh run, retry, resume) produced them.
+
+The table drivers accept no lost instance: they read a sweep's results
+through :meth:`SweepOutcome.require_complete`, which raises one
+:class:`~repro.errors.ExecutionError` naming every quarantined instance
+once the sweep has finished.  The repair-policy study
+(:mod:`repro.experiments.resilience`) reports its quarantines instead.
 """
 
 from __future__ import annotations
@@ -55,7 +61,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterator
 
 from repro.errors import ExecutionError, GenerationError
 from repro.experiments.runner import InstanceStream
@@ -165,24 +171,25 @@ class _Quarantined:
 
 def _guarded_call(
     work: InstanceWork,
+    idx: int,
     inst: InstanceStream,
     kwargs: dict[str, Any],
     timeout: float | None,
-) -> tuple[Any, dict[str, Any] | None, str | None]:
-    """Run one instance under a timeout, translating any failure into a
-    quarantine reason instead of letting it poison the sweep.
+) -> tuple[int, str, Any, dict[str, Any] | None]:
+    """Run one instance under a timeout; a failure comes back as a
+    :class:`_Quarantined` result instead of poisoning the sweep.
 
-    Returns ``(result, obs_snapshot, reason)``; ``reason`` is None on
-    success.  ``KeyboardInterrupt``/``SystemExit`` still propagate.
+    Returns the instance's ``(idx, scenario_key, result, obs_snapshot)``
+    entry.  ``KeyboardInterrupt``/``SystemExit`` still propagate.
     """
     try:
         with _alarm(timeout):
             result, snap = _collected_call(work, inst, kwargs)
-        return result, snap, None
     except _InstanceTimeout:
-        return None, None, f"timed out after {timeout:g}s"
+        result, snap = _Quarantined(f"timed out after {timeout:g}s"), None
     except Exception as exc:  # noqa: BLE001  # lint: ignore[REP005] — worker isolation boundary: any failure quarantines the instance, never crashes the sweep
-        return None, None, f"{type(exc).__name__}: {exc}"
+        result, snap = _Quarantined(f"{type(exc).__name__}: {exc}"), None
+    return idx, inst.scenario_key, result, snap
 
 
 def _run_chunk(
@@ -193,39 +200,25 @@ def _run_chunk(
     n_chunks: int,
     kwargs: dict[str, Any],
     obs_enabled: bool,
-    timeout: float | None = None,
-    skip: frozenset[int] = frozenset(),
-    guard: bool = False,
+    timeout: float | None,
+    skip: frozenset[int],
 ) -> list[tuple[int, str, Any, dict[str, Any] | None]]:
-    """Worker body: regenerate the stream, process one residue class.
-
-    With ``guard`` set (the fault-tolerant sweep), each instance runs
-    under :func:`_guarded_call` and failures come back as
-    :class:`_Quarantined` entries; ``skip`` drops already-journaled
-    instances on resume.
-    """
+    """Worker body: regenerate the stream and run one residue class,
+    each instance under :func:`_guarded_call`; ``skip`` drops the
+    instances a resumed journal already holds."""
     # Pool workers hold a fork-time snapshot of module globals; align the
     # instrumentation switch with the parent explicitly so enabling obs
     # after the pool forked still collects (and vice versa).
     _obs.ENABLED = obs_enabled
-    out: list[tuple[int, str, Any, dict[str, Any] | None]] = []
     # The chunk-level collector swallows stream-generation records (every
     # worker regenerates the full stream, so they must not be shipped) and
     # keeps long-lived pool workers from accumulating ambient state.
     with _obs.collecting():
-        for idx, inst in enumerate(factory(*factory_args)):
-            if idx % n_chunks != chunk or idx in skip:
-                continue
-            if guard:
-                result, snap, reason = _guarded_call(work, inst, kwargs, timeout)
-                if reason is not None:
-                    out.append((idx, inst.scenario_key, _Quarantined(reason), None))
-                else:
-                    out.append((idx, inst.scenario_key, result, snap))
-            else:
-                result, snap = _collected_call(work, inst, kwargs)
-                out.append((idx, inst.scenario_key, result, snap))
-    return out
+        return [
+            _guarded_call(work, idx, inst, kwargs, timeout)
+            for idx, inst in enumerate(factory(*factory_args))
+            if idx % n_chunks == chunk and idx not in skip
+        ]
 
 
 def _run_single(
@@ -242,99 +235,12 @@ def _run_single(
     with _obs.collecting():
         for i, inst in enumerate(factory(*factory_args)):
             if i == idx:
-                result, snap, reason = _guarded_call(work, inst, kwargs, timeout)
-                if reason is not None:
-                    return idx, inst.scenario_key, _Quarantined(reason), None
-                return idx, inst.scenario_key, result, snap
+                return _guarded_call(work, idx, inst, kwargs, timeout)
     raise ExecutionError(f"stream has no instance with index {idx}")
 
 
-def map_stream(
-    work: InstanceWork,
-    factory: StreamFactory,
-    factory_args: tuple,
-    *,
-    n_workers: int = 1,
-    work_kwargs: dict[str, Any] | None = None,
-) -> list[tuple[str, Any]]:
-    """Apply ``work`` to every instance of a stream, possibly in parallel.
-
-    Args:
-        work: Instance-level computation (module-level function).
-        factory: Stream factory (module-level function); called as
-            ``factory(*factory_args)`` in every worker.
-        factory_args: Arguments for the factory; must pickle.
-        n_workers: Process count.  1 (default) runs inline with no pool.
-        work_kwargs: Extra keyword arguments for ``work``; must pickle.
-
-    Returns:
-        ``(scenario_key, result)`` pairs in global stream order —
-        independent of ``n_workers``.
-    """
-    if n_workers < 1:
-        raise GenerationError(f"n_workers must be >= 1, got {n_workers}")
-    kwargs = work_kwargs or {}
-    if n_workers == 1:
-        out: list[tuple[str, Any]] = []
-        ambient = _obs.current()
-        # Discard stream-generation records here too, exactly as the
-        # workers do, so serial and parallel aggregates are identical.
-        with _obs.collecting():
-            for inst in factory(*factory_args):
-                result, snap = _collected_call(work, inst, kwargs)
-                if snap is not None:
-                    ambient.merge(snap)
-                out.append((inst.scenario_key, result))
-        return out
-    pool = _pool(n_workers)
-    futures = [
-        pool.submit(
-            _run_chunk, work, factory, factory_args, chunk, n_workers,
-            kwargs, _obs.ENABLED,
-        )
-        for chunk in range(n_workers)
-    ]
-    try:
-        quads = [t for f in futures for t in f.result()]
-    except BrokenProcessPool:
-        # A dead worker poisons the whole pool; drop it so the next call
-        # forks a fresh one instead of failing forever.
-        _POOLS.pop(n_workers, None)
-        raise
-    quads.sort(key=lambda t: t[0])
-    # Fold instrumentation in global index order — the same order the
-    # serial path records in, so the merged collector is identical.
-    ambient = _obs.current()
-    for _, _, _, snap in quads:
-        if snap is not None:
-            ambient.merge(snap)
-    return [(key, result) for _, key, result, _ in quads]
-
-
-def map_instances(
-    work: InstanceWork,
-    instances: Iterable[InstanceStream],
-    *,
-    work_kwargs: dict[str, Any] | None = None,
-) -> list[tuple[str, Any]]:
-    """Serial counterpart of :func:`map_stream` for an in-hand iterable.
-
-    Table drivers accepting an arbitrary ``Iterable[InstanceStream]``
-    (which may not be regenerable in a worker) use this inline path; the
-    scale-driven entry points use :func:`map_stream`.
-    """
-    kwargs = work_kwargs or {}
-    out: list[tuple[str, Any]] = []
-    for inst in instances:
-        result, snap = _collected_call(work, inst, kwargs)
-        if snap is not None:
-            _obs.current().merge(snap)
-        out.append((inst.scenario_key, result))
-    return out
-
-
 # ----------------------------------------------------------------------
-# Fault-tolerant sweeps
+# The sweep driver
 # ----------------------------------------------------------------------
 
 
@@ -374,12 +280,11 @@ class QuarantinedInstance:
 
 @dataclass
 class SweepOutcome:
-    """Everything a fault-tolerant sweep produced.
+    """Everything a sweep produced.
 
     Attributes:
         results: ``(scenario_key, result)`` pairs of completed instances
-            in global stream order — the same pairs :func:`map_stream`
-            would return, minus quarantined instances.
+            in global stream order.
         quarantined: Instances that timed out, raised, or died with
             their worker, in global stream order.
         resumed: Instances loaded from the journal instead of computed.
@@ -389,6 +294,23 @@ class SweepOutcome:
     quarantined: list[QuarantinedInstance] = field(default_factory=list)
     resumed: int = 0
 
+    def require_complete(self) -> list[tuple[str, Any]]:
+        """:attr:`results`, for a sweep that lost no instance.
+
+        Raises:
+            ExecutionError: If any instance was quarantined; the message
+                names the index, scenario key and reason of each.
+        """
+        if self.quarantined:
+            raise ExecutionError(
+                f"{len(self.quarantined)} instance(s) of the sweep failed: "
+                + "; ".join(
+                    f"#{q.idx} [{q.scenario_key}]: {q.reason}"
+                    for q in self.quarantined
+                )
+            )
+        return self.results
+
 
 class _Journal:
     """Append-only JSON-lines checkpoint of a sweep.
@@ -397,11 +319,18 @@ class _Journal:
     records as instances finish.  A crash may tear the last write: the
     torn final line is skipped and cut off before the next append; an
     undecodable line with records after it raises
-    (:mod:`repro.jsonlog`).
+    (:mod:`repro.jsonlog`).  Loading also refuses a header of another
+    format or version, a record of an unknown type, and a record
+    missing a field its type needs.
     """
 
     _FORMAT = "repro-sweep-journal"
     _VERSION = 1
+    #: The fields each record type needs; ``idx`` must be an integer.
+    _FIELDS = {
+        "result": ("idx", "key", "payload"),
+        "quarantine": ("idx", "key", "reason"),
+    }
 
     def __init__(self, path: str) -> None:
         self.path = path
@@ -421,14 +350,30 @@ class _Journal:
             raise ExecutionError(
                 f"{self.path}: unexpected journal format {header.get('format')!r}"
             )
-        for rec in records[1:]:
-            if rec["type"] == "result":
+        if header.get("version") != self._VERSION:
+            raise ExecutionError(
+                f"{self.path}: journal version {header.get('version')!r} "
+                f"cannot be resumed by journal version {self._VERSION}"
+            )
+        for lineno, rec in enumerate(records[1:], 2):
+            kind = rec.get("type")
+            need = self._FIELDS.get(kind)
+            if need is None:
+                raise ExecutionError(
+                    f"{self.path}: line {lineno}: unknown record type {kind!r}"
+                )
+            if any(f not in rec for f in need) or type(rec["idx"]) is not int:
+                raise ExecutionError(
+                    f"{self.path}: line {lineno}: a {kind} record needs the "
+                    f"fields {', '.join(need)}, with an integer idx"
+                )
+            if kind == "result":
                 done[rec["idx"]] = (
                     rec["key"],
                     self._log.decode_payload(rec["payload"]),
                     rec.get("obs"),
                 )
-            elif rec["type"] == "quarantine":
+            else:
                 quarantined[rec["idx"]] = QuarantinedInstance(
                     idx=rec["idx"], scenario_key=rec["key"], reason=rec["reason"],
                 )
@@ -456,19 +401,30 @@ def run_sweep(
     work_kwargs: dict[str, Any] | None = None,
     fault_tolerance: FaultTolerance | None = None,
 ) -> SweepOutcome:
-    """Fault-tolerant :func:`map_stream`.
+    """Apply ``work`` to every instance of a stream, possibly in parallel.
 
-    Same contract — ``work`` applied to every instance of a regenerable
-    stream, results in global stream order, instrumentation folded in
-    index order — plus: instances that time out, raise, or crash their
-    worker are quarantined instead of aborting the sweep; chunks lost to
-    a dead worker are retried against a fresh pool with exponential
-    backoff, then isolated instance by instance so only the pathological
-    instance is lost; and an optional journal checkpoints every finished
-    instance so an interrupted sweep resumes where it stopped.
+    Instances that time out, raise, or crash their worker are
+    quarantined instead of aborting the sweep; chunks lost to a dead
+    worker are retried against a fresh pool with exponential backoff,
+    then isolated instance by instance so only the pathological
+    instance is lost; and an optional journal checkpoints every
+    finished instance so an interrupted sweep resumes where it stopped.
 
-    Completed instances are bitwise-identical to a plain
-    :func:`map_stream` run at any worker count, with or without resume.
+    Args:
+        work: Instance-level computation (module-level function).
+        factory: Stream factory (module-level function); called as
+            ``factory(*factory_args)`` inline, or in every worker.
+        factory_args: Arguments for the factory; must pickle when
+            ``n_workers > 1``.
+        n_workers: Process count.  1 (default) runs inline with no pool.
+        work_kwargs: Extra keyword arguments for ``work``; must pickle.
+        fault_tolerance: Timeouts, chunk retries and the journal
+            (default :class:`FaultTolerance`: no timeout, no journal).
+
+    Returns:
+        A :class:`SweepOutcome` whose results are in global stream
+        order and bitwise-identical at any worker count, with or
+        without resume.
     """
     if n_workers < 1:
         raise GenerationError(f"n_workers must be >= 1, got {n_workers}")
@@ -480,6 +436,7 @@ def run_sweep(
     if journal is not None:
         done, quarantined = journal.load()
     resumed = len(done) + len(quarantined)
+    resumed_quarantined = len(quarantined)
     if resumed and _obs.ENABLED:
         _obs.incr("harness.resumed", resumed)
 
@@ -489,27 +446,19 @@ def run_sweep(
             quarantined[idx] = q
             if journal is not None:
                 journal.quarantine(q)
-            if _obs.ENABLED:
-                _obs.incr("harness.quarantined")
         else:
             done[idx] = (key, result, snap)
             if journal is not None:
                 journal.result(idx, key, result, snap)
 
     skip = frozenset(done) | frozenset(quarantined)
-    ambient = _obs.current()
     if n_workers == 1:
-        # Inline path: guarded per instance, generation records discarded
-        # exactly like the workers do.
+        # Inline path: stream-generation records are discarded exactly
+        # like the workers do.
         with _obs.collecting():
             for idx, inst in enumerate(factory(*factory_args)):
-                if idx in skip:
-                    continue
-                result, snap, reason = _guarded_call(work, inst, kwargs, ft.instance_timeout)
-                if reason is not None:
-                    _absorb(idx, inst.scenario_key, _Quarantined(reason), None)
-                else:
-                    _absorb(idx, inst.scenario_key, result, snap)
+                if idx not in skip:
+                    _absorb(*_guarded_call(work, idx, inst, kwargs, ft.instance_timeout))
     else:
         pending: list[tuple[int, int]] = [(chunk, 0) for chunk in range(n_workers)]
         while pending:
@@ -518,16 +467,15 @@ def run_sweep(
             futures = {
                 pool.submit(
                     _run_chunk, work, factory, factory_args, chunk, n_workers,
-                    kwargs, _obs.ENABLED, timeout=ft.instance_timeout,
-                    skip=skip, guard=True,
+                    kwargs, _obs.ENABLED, ft.instance_timeout, skip,
                 ): (chunk, tries)
                 for chunk, tries in batch
             }
             broken: list[tuple[int, int]] = []
             for fut, (chunk, tries) in futures.items():
                 try:
-                    for idx, key, result, snap in fut.result():
-                        _absorb(idx, key, result, snap)
+                    for entry in fut.result():
+                        _absorb(*entry)
                 except BrokenProcessPool:
                     broken.append((chunk, tries))
             if not broken:
@@ -548,8 +496,13 @@ def run_sweep(
                         kwargs, skip, ft, _absorb,
                     )
 
+    # Counted here, in the caller's collector: the inline loop runs
+    # inside the collector that discards stream-generation records.
+    if len(quarantined) > resumed_quarantined and _obs.ENABLED:
+        _obs.incr("harness.quarantined", len(quarantined) - resumed_quarantined)
     # Fold results and instrumentation in global index order — identical
     # to the serial, parallel, and resumed paths alike.
+    ambient = _obs.current()
     for idx in sorted(done):
         snap = done[idx][2]
         if snap is not None:

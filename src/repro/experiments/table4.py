@@ -9,11 +9,10 @@ exactly as the paper's Table 4.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 from repro.core import ProblemContext, ResSchedAlgorithm, schedule_ressched
 from repro.core.metrics import ComparisonTable
-from repro.experiments.parallel import map_instances, map_stream
+from repro.experiments.parallel import run_sweep
 from repro.experiments.runner import InstanceStream, iter_problem_instances
 from repro.experiments.scenarios import ExperimentScale
 
@@ -66,33 +65,20 @@ def _accumulate_bd(
     return Table4Result(turnaround=turnaround, cpu_hours=cpu_hours)
 
 
-def compare_bd_methods(
-    instances: Iterable[InstanceStream],
-    *,
-    bd_methods: tuple[str, ...] = TABLE4_BD_METHODS,
-    bl: str = "BL_CPAR",
-) -> Table4Result:
-    """Run each BD method over a stream of instances and accumulate the
-    paper's summary statistics (shared by Tables 4 and 5)."""
-    return _accumulate_bd(
-        map_instances(
-            _bd_instance,
-            instances,
-            work_kwargs={"bd_methods": bd_methods, "bl": bl},
-        )
-    )
-
-
 def run_table4(scale: ExperimentScale) -> Table4Result:
-    """Table 4: the synthetic-log grid (``scale.n_workers`` processes)."""
+    """Table 4: the synthetic-log grid (``scale.n_workers`` processes).
+
+    Raises:
+        ExecutionError: After the sweep, if any instance failed.
+    """
     return _accumulate_bd(
-        map_stream(
+        run_sweep(
             _bd_instance,
             iter_problem_instances,
             (scale,),
             n_workers=scale.n_workers,
             work_kwargs={"bd_methods": TABLE4_BD_METHODS, "bl": "BL_CPAR"},
-        )
+        ).require_complete()
     )
 
 

@@ -6,7 +6,7 @@ the (synthetic) Grid'5000 reservation log at random start times.
 
 from __future__ import annotations
 
-from repro.experiments.parallel import map_stream
+from repro.experiments.parallel import run_sweep
 from repro.experiments.runner import iter_grid5000_instances
 from repro.experiments.scenarios import ExperimentScale
 from repro.experiments.table4 import (
@@ -19,15 +19,19 @@ from repro.experiments.table4 import (
 
 
 def run_table5(scale: ExperimentScale) -> Table4Result:
-    """Table 5: the Grid'5000 stream (``scale.n_workers`` processes)."""
+    """Table 5: the Grid'5000 stream (``scale.n_workers`` processes).
+
+    Raises:
+        ExecutionError: After the sweep, if any instance failed.
+    """
     return _accumulate_bd(
-        map_stream(
+        run_sweep(
             _bd_instance,
             iter_grid5000_instances,
             (scale,),
             n_workers=scale.n_workers,
             work_kwargs={"bd_methods": TABLE4_BD_METHODS, "bl": "BL_CPAR"},
-        )
+        ).require_complete()
     )
 
 

@@ -18,7 +18,7 @@ import numpy as np
 from repro.core import ProblemContext, schedule_deadline, tightest_deadline
 from repro.core.metrics import ComparisonTable
 from repro.errors import InfeasibleError
-from repro.experiments.parallel import map_instances, map_stream
+from repro.experiments.parallel import run_sweep
 from repro.experiments.runner import (
     InstanceStream,
     iter_grid5000_instances,
@@ -103,12 +103,17 @@ def compare_deadline_algorithms(
     *,
     algorithms: tuple[str, ...] = TABLE6_ALGORITHMS,
 ) -> DeadlineComparison:
-    """Run the Table 6 protocol over one instance stream."""
+    """Run the Table 6 protocol over in-hand instances, serially.
+
+    Raises:
+        ExecutionError: After the sweep, if any instance failed.
+    """
     return _accumulate_deadline(
         column,
-        map_instances(
-            _deadline_instance, instances, work_kwargs={"algorithms": algorithms}
-        ),
+        run_sweep(
+            _deadline_instance, iter, (instances,),
+            work_kwargs={"algorithms": algorithms},
+        ).require_complete(),
     )
 
 
@@ -124,35 +129,33 @@ def run_table6(
     tightest-deadline search is expensive; pass a different ``log`` to
     explore the others.  Each column fans out over ``scale.n_workers``
     processes.
+
+    Raises:
+        ExecutionError: After a column's sweep, if any of its instances
+            failed.
     """
-    columns: list[DeadlineComparison] = []
-    for phi in scale.phis:
-        sub = replace(scale, logs=(log,), phis=(phi,))
-        columns.append(
-            _accumulate_deadline(
-                f"phi={phi}",
-                map_stream(
-                    _deadline_instance,
-                    iter_problem_instances,
-                    (sub,),
-                    n_workers=scale.n_workers,
-                    work_kwargs={"algorithms": algorithms},
-                ),
-            )
+    sweeps = [
+        (
+            f"phi={phi}",
+            iter_problem_instances,
+            replace(scale, logs=(log,), phis=(phi,)),
         )
-    columns.append(
+        for phi in scale.phis
+    ]
+    sweeps.append(("Grid5000", iter_grid5000_instances, scale))
+    return [
         _accumulate_deadline(
-            "Grid5000",
-            map_stream(
+            column,
+            run_sweep(
                 _deadline_instance,
-                iter_grid5000_instances,
-                (scale,),
+                factory,
+                (sub,),
                 n_workers=scale.n_workers,
                 work_kwargs={"algorithms": algorithms},
-            ),
+            ).require_complete(),
         )
-    )
-    return columns
+        for column, factory, sub in sweeps
+    ]
 
 
 def format_table6(columns: list[DeadlineComparison]) -> str:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.experiments.parallel import map_stream
+from repro.experiments.parallel import run_sweep
 from repro.experiments.runner import iter_grid5000_instances
 from repro.experiments.scenarios import ExperimentScale
 from repro.experiments.table6 import (
@@ -46,16 +46,20 @@ def run_table7(
     algorithms: tuple[str, ...] = TABLE7_ALGORITHMS,
 ) -> Table7Result:
     """Run the Table 7 protocol on the Grid'5000 instance stream
-    (``scale.n_workers`` processes)."""
+    (``scale.n_workers`` processes).
+
+    Raises:
+        ExecutionError: After the sweep, if any instance failed.
+    """
     comparison = _accumulate_deadline(
         "Grid5000",
-        map_stream(
+        run_sweep(
             _deadline_instance,
             iter_grid5000_instances,
             (scale,),
             n_workers=scale.n_workers,
             work_kwargs={"algorithms": algorithms},
-        ),
+        ).require_complete(),
     )
     saved: dict[str, list[float]] = {a: [] for a in algorithms if a != "DL_BD_CPA"}
     for per_alg in comparison.loose_cpu_hours._per_scenario_vals.values():

@@ -13,6 +13,9 @@ which applies one rule:
 * an undecodable line with more lines after it cannot come from one
   interrupted write: loading raises the owner's error, naming the file
   and the line;
+* every record is a JSON object: a line that decodes to anything else
+  is neither a record nor a torn write, and loading raises the same
+  way;
 * a non-empty file without one whole record is some other file, or one
   whose first write never completed: loading refuses it rather than
   guess, and nothing is appended to it.
@@ -62,7 +65,7 @@ class JsonLinesLog:
         self._keep: int | None = None
         self._tail_cut = False
 
-    def load(self) -> list[Any]:
+    def load(self) -> list[dict[str, Any]]:
         """Every whole record in file order; ``[]`` if the file is
         missing or empty.
 
@@ -98,7 +101,7 @@ class JsonLinesLog:
             )
         return pickle.loads(base64.b64decode(payload["data"]))
 
-    def _scan(self) -> tuple[list[Any], int]:
+    def _scan(self) -> tuple[list[dict[str, Any]], int]:
         """The whole records and the number of bytes they take up."""
         try:
             with open(self.path, "rb") as fh:
@@ -108,11 +111,11 @@ class JsonLinesLog:
         # A write ends with its newline: whatever follows the last one
         # is a torn write.
         *lines, tail = data.split(b"\n")
-        records: list[Any] = []
+        records: list[dict[str, Any]] = []
         keep = 0
         for lineno, line in enumerate(lines, 1):
             try:
-                records.append(json.loads(line))
+                doc = json.loads(line)
             except ValueError:
                 if lineno < len(lines) or tail:
                     raise self._error(
@@ -121,6 +124,11 @@ class JsonLinesLog:
                         "by an interrupted write"
                     ) from None
                 break
+            if not isinstance(doc, dict):
+                raise self._error(
+                    f"{self.path}: line {lineno} is not a JSON object"
+                )
+            records.append(doc)
             keep += len(line) + 1
         if data and not records:
             raise self._error(f"{self.path}: not a {self._kind}")

@@ -365,8 +365,8 @@ class ReservationService:
         self._faults: tuple[FaultEvent, ...] = ()
         self._fault_pos = 0
         self._last_offset = 0.0
+        # Admitted requests by id, in admission order.
         self._committed: dict[str, _Committed] = {}
-        self._order: list[str] = []
         self._outcomes: list[ServiceOutcome] = []
         self._dead_letters: list[DeadLetter] = []
         # The scenario's competing reservations not yet cancelled.
@@ -419,17 +419,26 @@ class ReservationService:
                 resume tests use.  ``None`` processes everything.
 
         Raises:
-            ServiceError: Before any request is processed, if the
+            ServiceError: Before any file is touched, if two requests
+                share an id; before any request is processed, if the
                 journal or the dead-letter file is corrupt or belongs
                 to a different run.
         """
+        ids: set[str] = set()
+        for r in requests:
+            if r.request_id in ids:
+                raise ServiceError(
+                    f"request id {r.request_id!r} appears more than once "
+                    "in the stream; request ids must be unique"
+                )
+            ids.add(r.request_id)
         self._faults = self._fault_trace(requests)
         if self._dead_log is not None:
             # Refuse a corrupt quarantine file before anything is written.
             self._dead_log.load()
         if self._journal is not None:
             if self._journal.open(self._fingerprint(requests)):
-                self._restore()
+                self._restore(requests)
         todo = list(requests)[self._done :]
         if stop_after is not None:
             todo = todo[: max(0, stop_after - self._done)]
@@ -574,9 +583,8 @@ class ReservationService:
         if quota.max_active is not None:
             active = sum(
                 1
-                for rid in self._order
-                if self._committed[rid].request.tenant == request.tenant
-                and self._committed[rid].last_end > arrival
+                for c in self._committed.values()
+                if c.request.tenant == request.tenant and c.last_end > arrival
             )
             if active >= quota.max_active:
                 return self._reject(
@@ -668,9 +676,9 @@ class ReservationService:
                 )
         if quota.max_cpu_hours is not None:
             usage = sum(
-                self._committed[rid].cpu_hours
-                for rid in self._order
-                if self._committed[rid].request.tenant == request.tenant
+                c.cpu_hours
+                for c in self._committed.values()
+                if c.request.tenant == request.tenant
             )
             if usage + schedule.cpu_hours > quota.max_cpu_hours:
                 return self._reject(
@@ -715,9 +723,8 @@ class ReservationService:
             return None
         depth = sum(
             1
-            for rid in self._order
-            if self._committed[rid].first_start > arrival
-            and self._committed[rid].reservations
+            for c in self._committed.values()
+            if c.first_start > arrival and c.reservations
         )
         if depth >= 2 * threshold:
             return "load-shed"
@@ -815,7 +822,6 @@ class ReservationService:
             request=request, arrival=arrival, schedule=schedule
         )
         self._committed[request.request_id] = committed
-        self._order.append(request.request_id)
         return committed
 
     # ------------------------------------------------------------------
@@ -874,8 +880,8 @@ class ReservationService:
         cal = self._scheduler.calendar
         unstarted = [
             ((rid, task), res)
-            for rid in self._order
-            for task, res in self._committed[rid].reservations.items()
+            for rid, c in self._committed.items()
+            for task, res in c.reservations.items()
             if res.start > t
         ]
         origin: int | None = None
@@ -904,7 +910,7 @@ class ReservationService:
         self._revocations += len(victims)
         if victims and _obs.ENABLED and not self._restoring:
             _obs.incr("service.revocations", len(victims))
-        for rid in self._order:
+        for rid in self._committed:
             if rid in revoked:
                 self._rebook(rid, revoked[rid], t, origin_shard=origin)
 
@@ -986,29 +992,61 @@ class ReservationService:
     # ------------------------------------------------------------------
     # Restore
 
-    def _restore(self) -> None:
+    def _restore(self, requests: Sequence[StreamRequest]) -> None:
         """Rebuild run state by replaying the journal's records in
         processed order; the rebuilt calendar is bitwise-equal to the
         crashed run's (integer-valued step profiles make the committed
-        splices order-independent)."""
+        splices order-independent).
+
+        Raises:
+            ServiceError: Naming the file and line of the first record
+                that is neither the trace's next fault nor an outcome
+                for the stream's next request.
+        """
         journal = self._journal
         assert journal is not None
         self._restoring = True
         try:
-            for rec in journal.records:
-                if rec.get("type") == "fault":
-                    idx = int(rec["idx"])
-                    if idx != self._fault_pos:
+            for lineno, rec in journal.records:
+                where = f"{journal.path}: line {lineno}"
+                kind = rec.get("type")
+                if kind == "fault":
+                    idx = rec.get("idx")
+                    if type(idx) is not int:
                         raise ServiceError(
-                            f"journal replays fault {idx} but the trace "
-                            f"is at {self._fault_pos}; the journal does "
-                            "not match this run's fault trace"
+                            f"{where}: fault record without an integer 'idx'"
+                        )
+                    if idx != self._fault_pos or idx >= len(self._faults):
+                        raise ServiceError(
+                            f"{where}: journal replays fault {idx} but the "
+                            f"trace is at {self._fault_pos} of "
+                            f"{len(self._faults)}; the journal does not "
+                            "match this run's fault trace"
                         )
                     self._apply_fault(self._faults[idx], idx)
                     self._fault_pos = idx + 1
-                elif rec.get("type") == "outcome":
+                elif kind == "outcome":
+                    if "payload" not in rec:
+                        raise ServiceError(
+                            f"{where}: outcome record without a payload"
+                        )
                     outcome = journal.decode_payload(rec["payload"])
+                    expected = (
+                        requests[self._done].request_id
+                        if self._done < len(requests)
+                        else None
+                    )
+                    if outcome.request.request_id != expected:
+                        raise ServiceError(
+                            f"{where}: outcome for request "
+                            f"{outcome.request.request_id!r}, but the "
+                            f"stream's next request is {expected!r}"
+                        )
                     self._replay_outcome(outcome, rec.get("shards"))
+                else:
+                    raise ServiceError(
+                        f"{where}: unknown record type {kind!r}"
+                    )
         finally:
             self._restoring = False
         if _obs.ENABLED and self._done:

@@ -70,11 +70,12 @@ class ServiceJournal:
     def __init__(self, path: str) -> None:
         self.path = path
         self._log = JsonLinesLog(path, ServiceError, "service journal")
-        self._records: list[dict[str, Any]] = []
+        self._records: list[tuple[int, dict[str, Any]]] = []
 
     @property
-    def records(self) -> tuple[dict[str, Any], ...]:
-        """Records loaded by :meth:`open`, in processed order."""
+    def records(self) -> tuple[tuple[int, dict[str, Any]], ...]:
+        """``(line number, record)`` pairs of the records loaded by
+        :meth:`open`, in processed order."""
         return tuple(self._records)
 
     def open(self, fingerprint: str) -> bool:
@@ -87,10 +88,12 @@ class ServiceJournal:
 
         Raises:
             ServiceError: If the file exists but is not a service
-                journal, has an undecodable line before its last, was
-                written in another journal version, or its fingerprint
-                disagrees with this run's — replaying it would rebuild
-                state for a different run.
+                journal, has an undecodable line before its last or a
+                line that is not a JSON object, was written in another
+                journal version, or its fingerprint disagrees with this
+                run's — replaying it would rebuild state for a different
+                run.  The records themselves are checked as the service
+                replays them.
         """
         records = self._log.load()
         if not records:
@@ -120,7 +123,7 @@ class ServiceJournal:
                 f"run's {fingerprint!r}; refusing to resume a different "
                 "run"
             )
-        self._records = records[1:]
+        self._records = list(enumerate(records[1:], 2))
         return True
 
     def record_outcome(

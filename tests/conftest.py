@@ -37,6 +37,15 @@ from repro.workloads.reservations import ReservationScenario, pick_scheduling_ti
 _TEST_TIMEOUT_S = float(os.environ.get("REPRO_TEST_TIMEOUT", "300") or 0)
 
 
+class SuiteTimeout(BaseException):
+    """A test ran past ``REPRO_TEST_TIMEOUT``.
+
+    Not an ``Exception``: the sweep harness quarantines any
+    ``Exception`` an instance raises and carries on, which would let a
+    hung table sweep outlive the cap.
+    """
+
+
 @pytest.fixture(autouse=True)
 def _global_test_timeout(request: pytest.FixtureRequest) -> Iterator[None]:
     """Fail any test that exceeds ``REPRO_TEST_TIMEOUT`` seconds.
@@ -55,7 +64,7 @@ def _global_test_timeout(request: pytest.FixtureRequest) -> Iterator[None]:
         return
 
     def _timed_out(signum: int, frame: FrameType | None) -> None:
-        raise TimeoutError(  # lint: ignore[REP005] — stdlib timeout type: test harness code, deliberately outside the library taxonomy
+        raise SuiteTimeout(  # lint: ignore[REP005] — test harness code, deliberately outside the library taxonomy
             f"test exceeded REPRO_TEST_TIMEOUT={_TEST_TIMEOUT_S:g}s: "
             f"{request.node.nodeid}"
         )

@@ -238,18 +238,6 @@ class TestBatchQuery:
             expect = cal.earliest_starts_multi(earliest, durations)
             assert np.array_equal(got, expect)
 
-    def test_memo_interop_both_directions(self):
-        cal = self._calendar(7)
-        durations = np.array([1_000.0, 700.0, 500.0])
-        # multi first, then batch: the same array values
-        a = cal.earliest_starts_multi(50.0, durations)
-        b = cal.earliest_starts_batch([(50.0, durations)])[0]
-        assert np.array_equal(a, b)
-        # batch first, then multi
-        c = cal.earliest_starts_batch([(60.0, durations)])[0]
-        d = cal.earliest_starts_multi(60.0, durations)
-        assert np.array_equal(c, d)
-
     def test_empty_batch(self):
         cal = self._calendar(7)
         assert cal.earliest_starts_batch([]) == []

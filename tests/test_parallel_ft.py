@@ -7,17 +7,19 @@ import os
 import time
 
 import pytest
-from concurrent.futures.process import BrokenProcessPool
 
+import repro.experiments.table4 as table4
 from repro.errors import ExecutionError
 from repro.experiments.parallel import (
     _POOLS,
     FaultTolerance,
     QuarantinedInstance,
-    map_stream,
+    _pool,
     run_sweep,
 )
-from repro.experiments.runner import InstanceStream
+from repro.experiments.runner import InstanceStream, iter_problem_instances
+from repro.experiments.scenarios import ExperimentScale
+from repro.obs import core as obs
 
 N = 7
 
@@ -44,25 +46,60 @@ def _keys(outcome):
     return [k for k, _ in outcome.results]
 
 
-class TestMapStreamBrokenPool:
+class TestTablePathWorkerCrash:
     def test_raises_and_refreshes_pool(self):
-        """The plain (non-FT) path: a dead worker surfaces as
-        BrokenProcessPool, and the poisoned pool is dropped so the next
-        call forks a fresh one instead of failing forever."""
-        with pytest.raises(BrokenProcessPool):
-            map_stream(
+        """The table drivers' path: a dead worker is retried, then
+        isolated, then reported as one ExecutionError naming the
+        instance; the poisoned pool is replaced, so the next call
+        succeeds on a fresh one instead of failing forever."""
+        poisoned = _pool(2)
+        with pytest.raises(
+            ExecutionError, match=r"#3 \[k3\]: worker process died"
+        ):
+            run_sweep(
                 _toy_work, _toy_stream, (N,), n_workers=2,
                 work_kwargs={"crash": "k3"},
-            )
-        assert 2 not in _POOLS
-        # Recovery: the very next call succeeds on a fresh pool.
-        out = map_stream(_toy_work, _toy_stream, (N,), n_workers=2)
+            ).require_complete()
+        assert _POOLS.get(2) is not poisoned
+        out = run_sweep(
+            _toy_work, _toy_stream, (N,), n_workers=2
+        ).require_complete()
         assert [k for k, _ in out] == [f"k{i}" for i in range(N)]
 
 
+class TestTableDriverRefusal:
+    def test_failed_instance_named_after_the_sweep(self, monkeypatch):
+        """A table driver runs its whole sweep, then refuses it with one
+        ExecutionError naming the failed instance's index, key and
+        reason."""
+        scale = ExperimentScale(
+            logs=("OSC_Cluster",), phis=(0.2,), methods=("expo",),
+            app_scenarios=1, dag_instances=3, start_times=1, taggings=1,
+        )
+        bad = list(iter_problem_instances(scale))[1]
+        real = table4.schedule_ressched
+        planned = []
+
+        def exploding(graph, scenario, *args, **kwargs):
+            planned.append(graph.content_digest)
+            if graph.content_digest == bad.graph.content_digest:
+                raise ValueError("planner exploded")
+            return real(graph, scenario, *args, **kwargs)
+
+        monkeypatch.setattr(table4, "schedule_ressched", exploding)
+        with pytest.raises(ExecutionError) as info:
+            table4.run_table4(scale)
+        assert str(info.value) == (
+            f"1 instance(s) of the sweep failed: #1 [{bad.scenario_key}]: "
+            "ValueError: planner exploded"
+        )
+        # The instance after the failed one still ran.
+        assert len(set(planned)) == 3
+
+
 class TestRunSweep:
-    def test_matches_map_stream(self):
-        plain = map_stream(_toy_work, _toy_stream, (N,), n_workers=1)
+    def test_matches_plain_loop(self):
+        plain = [(i.scenario_key, _toy_work(i)) for i in _toy_stream(N)]
         serial = run_sweep(_toy_work, _toy_stream, (N,), n_workers=1)
         parallel = run_sweep(_toy_work, _toy_stream, (N,), n_workers=3)
         assert serial.results == plain
@@ -116,6 +153,15 @@ class TestRunSweep:
         )
         assert a.results == b.results
         assert a.quarantined == b.quarantined
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_quarantine_counted_at_any_worker_count(self, n_workers):
+        with obs.instrumented() as col:
+            run_sweep(
+                _toy_work, _toy_stream, (N,), n_workers=n_workers,
+                work_kwargs={"boom": "k1"},
+            )
+        assert col.counters["harness.quarantined"] == 1
 
 
 class TestJournal:
@@ -184,6 +230,32 @@ class TestJournal:
         with pytest.raises(ExecutionError, match="not a sweep journal"):
             run_sweep(_toy_work, _toy_stream, (N,), fault_tolerance=ft)
         assert path.read_text() == "not json"
+
+    @pytest.mark.parametrize(
+        "corrupt, match",
+        [
+            (lambda recs: recs[0].update(version=99),
+             r"sweep\.jsonl: journal version 99 cannot be resumed"),
+            (lambda recs: recs[2].update(type="reslut"),
+             r"sweep\.jsonl: line 3: unknown record type 'reslut'"),
+            (lambda recs: recs[2].pop("payload"),
+             r"sweep\.jsonl: line 3: a result record needs the fields"),
+            (lambda recs: recs[2].update(idx="2"),
+             r"sweep\.jsonl: line 3: a result record needs the fields"),
+            (lambda recs: recs.__setitem__(2, [1, 2]),
+             r"sweep\.jsonl: line 3 is not a JSON object"),
+        ],
+        ids=["version", "type", "payload", "idx", "list"],
+    )
+    def test_malformed_record_refused(self, tmp_path, corrupt, match):
+        path = tmp_path / "sweep.jsonl"
+        ft = FaultTolerance(journal=str(path))
+        run_sweep(_toy_work, _toy_stream, (N,), fault_tolerance=ft)
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        corrupt(records)
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        with pytest.raises(ExecutionError, match=match):
+            run_sweep(_toy_work, _toy_stream, (N,), fault_tolerance=ft)
 
     def test_journal_records_quarantines(self, tmp_path):
         path = str(tmp_path / "sweep.jsonl")

@@ -37,7 +37,7 @@ from repro.cpa.allocation import _Levels, cpa_allocation
 from repro.dag import DagGenParams, Task, TaskGraph, random_task_graph
 from repro.dag.graph import chain_graph, fork_join_graph
 from repro.errors import CalendarError, GenerationError
-from repro.experiments.parallel import map_stream
+from repro.experiments.parallel import run_sweep
 from repro.experiments.scenarios import ExperimentScale, table1_app_scenarios
 from repro.experiments.table4 import format_table4, run_table4
 from repro.model import AmdahlModel, DowneyModel
@@ -344,9 +344,9 @@ class TestParallelDeterminism:
         par = run_table4(replace(_TINY_SCALE, n_workers=2))
         assert format_table4(serial) == format_table4(par)
 
-    def test_map_stream_rejects_bad_worker_count(self):
+    def test_run_sweep_rejects_bad_worker_count(self):
         with pytest.raises(GenerationError):
-            map_stream(len, iter, (), n_workers=0)
+            run_sweep(len, iter, ((),), n_workers=0)
 
     def test_scale_rejects_bad_worker_count(self):
         with pytest.raises(GenerationError):

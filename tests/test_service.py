@@ -427,6 +427,105 @@ class TestCrashResume:
         assert sum(1 for r in lines[1:] if r["type"] == "outcome") == 5
 
 
+def _first(records, kind):
+    """Index in ``records`` (0 = the header) of the first ``kind`` record."""
+    return next(i for i, r in enumerate(records) if r.get("type") == kind)
+
+
+def _drop_idx(records):
+    i = _first(records, "fault")
+    records[i] = {"type": "fault"}
+    return i + 1, "fault record without an integer 'idx'"
+
+
+def _string_idx(records):
+    i = _first(records, "fault")
+    records[i] = {"type": "fault", "idx": "x"}
+    return i + 1, "fault record without an integer 'idx'"
+
+
+def _list_record(records):
+    records[1] = [1, 2]
+    return 2, "is not a JSON object"
+
+
+def _list_header(records):
+    records[0] = [records[0]["format"], records[0]["version"]]
+    return 1, "is not a JSON object"
+
+
+def _misspelt_type(records):
+    i = _first(records, "outcome")
+    records[i]["type"] = "outcme"
+    return i + 1, "unknown record type 'outcme'"
+
+
+def _drop_payload(records):
+    i = _first(records, "outcome")
+    del records[i]["payload"]
+    return i + 1, "outcome record without a payload"
+
+
+def _repeated_outcome(records):
+    i = _first(records, "outcome")
+    records.insert(i + 1, dict(records[i]))
+    return i + 2, "outcome for request 'q0', but the stream's next request is 'q1'"
+
+
+class TestMalformedJournal:
+    """A journal line that decodes but is not the record the restore
+    expects is refused with the file and line, before any request."""
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            _drop_idx,
+            _string_idx,
+            _list_record,
+            _list_header,
+            _misspelt_type,
+            _drop_payload,
+            _repeated_outcome,
+        ],
+    )
+    def test_refused_naming_file_and_line(self, tmp_path, corrupt):
+        reqs = _requests(6)
+        journal = tmp_path / "svc.jsonl"
+        ReservationService(
+            _scenario(), journal_path=str(journal), **FAULTED
+        ).run(reqs, stop_after=4)
+        records = [
+            json.loads(line)
+            for line in journal.read_text(encoding="utf-8").splitlines()
+        ]
+        lineno, reason = corrupt(records)
+        journal.write_text(
+            "".join(json.dumps(r) + "\n" for r in records), encoding="utf-8"
+        )
+        with pytest.raises(ServiceError) as info:
+            ReservationService(
+                _scenario(), journal_path=str(journal), **FAULTED
+            ).run(reqs)
+        assert f"svc.jsonl: line {lineno}" in str(info.value)
+        assert reason in str(info.value)
+
+
+class TestRequestIds:
+    def test_repeated_id_refused_before_any_file(self, tmp_path):
+        """Two requests with one id would share one booking record; the
+        run refuses the stream before it writes the journal or the
+        dead-letter file."""
+        reqs = _requests(6)
+        reqs[1] = replace(reqs[1], request_id="same")
+        reqs[3] = replace(reqs[3], request_id="same")
+        journal = tmp_path / "svc.jsonl"
+        with pytest.raises(ServiceError, match="request id 'same'"):
+            ReservationService(
+                _scenario(), journal_path=str(journal), **FAULTED
+            ).run(reqs)
+        assert list(tmp_path.iterdir()) == []
+
+
 #: One changed input per class the journal fingerprint pins, as
 #: keyword overrides of the resuming service.
 FINGERPRINTED = {

@@ -41,9 +41,10 @@ SPEEDUP_FLOORS: dict[str, float] = {
     "streamed_throughput": 2.0,
     # Robustness-layer overhead gate: the ReservationService at fault
     # rate zero with unlimited quotas reduces to the bare stream, so its
-    # "speedup" (bare_s / service_rate0_s) is an overhead ratio.  The
-    # floor guarantees the CAS-token/journal/quota machinery costs less
-    # than 15% on the fault-free fast path (1 / 1.15 ~= 0.87).
+    # "speedup" (the median over interleaved pairs of bare time over
+    # service time) is an overhead ratio.  The floor guarantees the
+    # CAS-token/journal/quota machinery costs less than 15% on the
+    # fault-free fast path (1 / 1.15 ~= 0.87).
     "service_faulted_stream": 0.87,
     # Sharded streamed admission (K=8 vs K=1 on the same dense-calendar
     # stream).  The advantage grows with calendar density: the committed

@@ -16,7 +16,9 @@ commit).  Both sides of every comparison are asserted to produce
 identical results before their timings are reported.
 
 Timings use a warm-up pass plus min-of-N (the minimum is the standard
-noise-robust statistic for micro-benchmarks on a shared box).  Results
+noise-robust statistic for micro-benchmarks on a shared box); the
+``service_faulted_stream`` overhead ratio, two near-equal paths, is
+instead the median over interleaved pairs.  Results
 are written as JSON (default ``BENCH_hotpath.json`` in the current
 directory) so CI can diff runs::
 
@@ -675,29 +677,9 @@ def bench_table4_cell(
     }
 
 
-def bench_streamed_throughput(
-    *, n_requests: int, n_res: int, repeats: int
-) -> dict[str, Any]:
-    """Admitting a stream of small DAGs: incremental engine vs N passes.
-
-    A busy advance-reservation calendar (``n_res`` competing bookings
-    spread over a long horizon) receives ``n_requests`` eight-task
-    applications at a sustainable arrival rate.  Baseline: per request,
-    rebuild the scenario with everything booked so far and run the batch
-    ``schedule_ressched`` — the only way to express a stream with the
-    one-shot API (an O(R log R) scenario rebuild per request).  Current
-    path: one ``StreamScheduler`` admitting every request against a
-    single generation-tagged calendar via
-    ``schedule_ressched_incremental`` — memoized plans placed by the
-    same forward loop, with no rebuild.  Both place tasks with the same
-    earliest-completion kernel.  Placements are asserted
-    bitwise-identical before timing.
-    """
-    from repro.experiments.stream import (
-        StreamRequest,
-        StreamScheduler,
-        schedule_stream_naive,
-    )
+def _stream_scenario(name: str, n_res: int) -> Any:
+    """The stream sections' platform: 64 processors and ``n_res``
+    small competing reservations spread over ``333 * n_res`` seconds."""
     from repro.workloads.reservations import ReservationScenario
 
     capacity = 64
@@ -711,13 +693,63 @@ def bench_streamed_throughput(
         reservations.append(
             Reservation(start=start, end=start + dur, nprocs=nprocs, label=f"r{i}")
         )
-    scenario = ReservationScenario(
-        name="stream-bench",
+    return ReservationScenario(
+        name=name,
         capacity=capacity,
         now=0.0,
         reservations=tuple(reservations),
         hist_avg_available=capacity / 2,
     )
+
+
+def _bare_stream(
+    scenario: Any, requests: list[Any], calendar: Any = None
+) -> list[Any]:
+    """The streamed engine without an admission loop: every request is
+    planned at its arrival straight into the one shared calendar (or
+    into ``calendar``), so every request is admitted.  The reference
+    the stream sections time against."""
+    from repro.experiments.stream import StreamScheduler
+
+    sched = StreamScheduler(scenario, calendar=calendar)
+    return [
+        sched.tentative_schedule(
+            r, arrival=scenario.now + r.arrival_offset, calendar=sched.calendar
+        )
+        for r in requests
+    ]
+
+
+def _placements(schedules: list[Any]) -> list[list[tuple]]:
+    """Per-schedule ``(task, start, finish, nprocs)`` lists, for
+    bitwise comparisons between two paths."""
+    return [
+        [(p.task, p.start, p.finish, p.nprocs) for p in s.placements]
+        for s in schedules
+    ]
+
+
+def bench_streamed_throughput(
+    *, n_requests: int, n_res: int, repeats: int
+) -> dict[str, Any]:
+    """Admitting a stream of small DAGs: incremental engine vs N passes.
+
+    A busy advance-reservation calendar (``n_res`` competing bookings
+    spread over a long horizon) receives ``n_requests`` eight-task
+    applications at a sustainable arrival rate.  Baseline: per request,
+    rebuild the scenario with everything booked so far and run the batch
+    ``schedule_ressched`` — the only way to express a stream with the
+    one-shot API (an O(R log R) scenario rebuild per request).  Current
+    path: one ``StreamScheduler`` planning every request into a single
+    generation-tagged calendar via ``schedule_ressched_incremental`` —
+    memoized plans placed by the same forward loop, with no rebuild.
+    Both place tasks with the same earliest-completion kernel.
+    Placements are asserted bitwise-identical before timing.
+    """
+    from repro.experiments.stream import StreamRequest, schedule_stream_naive
+    from repro.service import ReservationService
+
+    scenario = _stream_scenario("stream-bench", n_res)
     graphs = [
         random_task_graph(
             DagGenParams(n=8, max_seq_time=3_600.0), make_rng(1000 + i)
@@ -739,32 +771,27 @@ def bench_streamed_throughput(
 
     def streamed_path() -> list:
         _allocmod.clear_memo()
-        return StreamScheduler(scenario).run(requests).schedules
+        return _bare_stream(scenario, requests)
 
     naive_s, naive_res = _best_of(naive_path, repeats)
     stream_s, stream_res = _best_of(streamed_path, repeats)
-    for a, b in zip(naive_res, stream_res):
-        pa = [(p.task, p.start, p.finish, p.nprocs) for p in a.placements]
-        pb = [(p.task, p.start, p.finish, p.nprocs) for p in b.placements]
-        if pa != pb:
-            raise AssertionError("streamed-throughput paths disagree")
-    # Observer-effect guard (untimed): a fully instrumented replay —
-    # aggregates AND event timeline on — must produce the exact same
-    # placements; recording may never perturb the computation.
+    if _placements(naive_res) != _placements(stream_res):
+        raise AssertionError("streamed-throughput paths disagree")
+    # Observer-effect guard (untimed): a fully instrumented service
+    # replay — aggregates AND event timeline on — must produce the
+    # exact same placements; recording may never perturb the
+    # computation.
     from repro.obs import instrumented as _instrumented
     from repro.obs import timeline as _tl
 
     _allocmod.clear_memo()
     with _tl.recording(sim_epoch=scenario.now) as timeline:
         with _instrumented():
-            observed = StreamScheduler(scenario).run(requests).schedules
-    for a, b in zip(stream_res, observed):
-        pa = [(p.task, p.start, p.finish, p.nprocs) for p in a.placements]
-        pb = [(p.task, p.start, p.finish, p.nprocs) for p in b.placements]
-        if pa != pb:
-            raise AssertionError(
-                "timeline instrumentation perturbed streamed placements"
-            )
+            observed = ReservationService(scenario).run(requests).schedules
+    if _placements(observed) != _placements(stream_res):
+        raise AssertionError(
+            "timeline instrumentation perturbed streamed placements"
+        )
     return {
         "n_requests": n_requests,
         "n_reservations": n_res,
@@ -777,45 +804,31 @@ def bench_streamed_throughput(
 
 
 def bench_service_faulted_stream(
-    *, n_requests: int, n_res: int, repeats: int
+    *, n_requests: int, n_res: int, pairs: int
 ) -> dict[str, Any]:
     """Robustness-layer overhead: bare stream vs ReservationService.
 
     The same stream as ``streamed_throughput`` is replayed twice: once
-    through the bare ``StreamScheduler`` and once through the
+    through the bare engine (:func:`_bare_stream`) and once through the
     fault-tolerant ``ReservationService`` at fault rate zero with
     unlimited quotas — the configuration the reduction proof covers, so
-    placements are asserted bitwise-identical before timing.  The
-    reported ``speedup`` is ``bare_s / service_rate0_s``: the floor in
-    ``check_bench_regression.py`` guarantees the CAS/journal/quota
-    machinery costs < 15% on the fault-free fast path.  A third,
-    untimed-for-speedup replay at a nonzero fault rate with per-tenant
-    quotas exercises the full pipeline (revocation, rebooking, commit
-    retries) and reports its volume counters.
+    placements are asserted bitwise-identical.  The two replays are
+    timed in ``pairs`` interleaved pairs, alternating which side runs
+    first, so drift on a shared box lands on both sides of a pair; the
+    reported ``speedup`` is the median over pairs of
+    ``bare_s / service_rate0_s``, and ``bare_s`` / ``service_rate0_s``
+    are each side's median.  The floor in ``check_bench_regression.py``
+    guarantees the CAS/journal/quota machinery costs < 15% on the
+    fault-free fast path.  A third, untimed-for-speedup replay at a
+    nonzero fault rate with per-tenant quotas exercises the full
+    pipeline (revocation, rebooking, commit retries) and reports its
+    volume counters.
     """
-    from repro.experiments.stream import StreamRequest, StreamScheduler
+    from repro.experiments.stream import StreamRequest
     from repro.resilience.faults import FaultModel
     from repro.service import ReservationService, ServiceConfig, TenantQuota
-    from repro.workloads.reservations import ReservationScenario
 
-    capacity = 64
-    rng = make_rng(7)
-    horizon = 333.0 * n_res
-    reservations = []
-    for i in range(n_res):
-        start = float(rng.uniform(0.0, horizon))
-        dur = float(rng.uniform(60.0, 3_600.0))
-        nprocs = int(rng.integers(1, max(2, capacity // 16)))
-        reservations.append(
-            Reservation(start=start, end=start + dur, nprocs=nprocs, label=f"r{i}")
-        )
-    scenario = ReservationScenario(
-        name="service-bench",
-        capacity=capacity,
-        now=0.0,
-        reservations=tuple(reservations),
-        hist_avg_available=capacity / 2,
-    )
+    scenario = _stream_scenario("service-bench", n_res)
     graphs = [
         random_task_graph(
             DagGenParams(n=8, max_seq_time=3_600.0), make_rng(1000 + i)
@@ -836,21 +849,33 @@ def bench_service_faulted_stream(
 
     def bare_path() -> list:
         _allocmod.clear_memo()
-        return StreamScheduler(scenario).run(requests).schedules
+        return _bare_stream(scenario, requests)
 
     def service_rate0_path() -> list:
         _allocmod.clear_memo()
         return ReservationService(scenario).run(requests).schedules
 
-    bare_s, bare_res = _best_of(bare_path, repeats)
-    svc_s, svc_res = _best_of(service_rate0_path, repeats)
-    # Reduction proof before timing is trusted: rate-0 + unlimited
+    def timed(fn: Callable[[], list]) -> tuple[float, list]:
+        t0 = time.perf_counter()
+        result = fn()
+        return time.perf_counter() - t0, result
+
+    # Reduction proof (on the warm-up replays): rate-0 + unlimited
     # quotas must be bitwise-identical to the bare stream.
-    for a, b in zip(bare_res, svc_res):
-        pa = [(p.task, p.start, p.finish, p.nprocs) for p in a.placements]
-        pb = [(p.task, p.start, p.finish, p.nprocs) for p in b.placements]
-        if pa != pb:
-            raise AssertionError("service rate-0 path diverged from stream")
+    if _placements(bare_path()) != _placements(service_rate0_path()):
+        raise AssertionError("service rate-0 path diverged from stream")
+    bare_times: list[float] = []
+    svc_times: list[float] = []
+    for i in range(pairs):
+        if i % 2:
+            svc_s, _ = timed(service_rate0_path)
+            bare_s, _ = timed(bare_path)
+        else:
+            bare_s, _ = timed(bare_path)
+            svc_s, _ = timed(service_rate0_path)
+        bare_times.append(bare_s)
+        svc_times.append(svc_s)
+    ratios = [b / s for b, s in zip(bare_times, svc_times)]
     # Full-pipeline replay: faults, quotas and shedding all active.
     _allocmod.clear_memo()
     faulted_t0 = time.perf_counter()
@@ -869,9 +894,10 @@ def bench_service_faulted_stream(
     return {
         "n_requests": n_requests,
         "n_reservations": n_res,
-        "bare_s": bare_s,
-        "service_rate0_s": svc_s,
-        "speedup": bare_s / svc_s,
+        "pairs": pairs,
+        "bare_s": float(np.median(bare_times)),
+        "service_rate0_s": float(np.median(svc_times)),
+        "speedup": float(np.median(ratios)),
         "faulted_s": faulted_s,
         "faulted_admitted": faulted.n_admitted,
         "faulted_rejected": faulted.n_rejected,
@@ -888,30 +914,13 @@ def sharded_stream_workload(n_res: int, n_requests: int) -> tuple[Any, list[Any]
     ``n_requests`` fork-join parameter sweeps arriving every 2,400 s.
 
     Returns ``(scenario, requests)`` for a
-    :class:`~repro.experiments.stream.StreamScheduler`.
+    :class:`~repro.experiments.stream.StreamScheduler` or a
+    :class:`~repro.service.ReservationService`.
     """
     from repro.dag.templates import parameter_sweep
     from repro.experiments.stream import StreamRequest
-    from repro.workloads.reservations import ReservationScenario
 
-    capacity = 64
-    rng = make_rng(7)
-    horizon = 333.0 * n_res
-    reservations = []
-    for i in range(n_res):
-        start = float(rng.uniform(0.0, horizon))
-        dur = float(rng.uniform(60.0, 3_600.0))
-        nprocs = int(rng.integers(1, max(2, capacity // 16)))
-        reservations.append(
-            Reservation(start=start, end=start + dur, nprocs=nprocs, label=f"r{i}")
-        )
-    scenario = ReservationScenario(
-        name="shard-bench",
-        capacity=capacity,
-        now=0.0,
-        reservations=tuple(reservations),
-        hist_avg_available=capacity / 2,
-    )
+    scenario = _stream_scenario("shard-bench", n_res)
     graphs = [
         parameter_sweep(make_rng(1000 + i), n_points=14, stages_per_point=1)
         for i in range(4)
@@ -941,14 +950,15 @@ def bench_sharded_throughput(
     first bounded by the best answer so far.
 
     Both pristine calendars are built once (the K-shard water-filled
-    partition is expensive and untimed); every timed run adopts a fresh
-    ``.copy()`` so repeats are independent.  ``speedup`` is the K = 1
-    wall-clock over the K = ``n_shards`` wall-clock on the *identical*
-    request stream, and the K = 1 report digest is asserted equal to
-    the plain unsharded engine's digest — the facade's bitwise
-    K = 1 reduction, gated here and in ``check_bench_regression.py``.
+    partition is expensive and untimed); every timed run plans into a
+    fresh ``.copy()`` so repeats are independent.  ``speedup`` is the
+    K = 1 wall-clock over the K = ``n_shards`` wall-clock on the
+    *identical* request stream, and the K = 1
+    :func:`~repro.experiments.stream.stream_digest` is asserted equal to
+    the plain unsharded engine's — the facade's bitwise K = 1
+    reduction, gated here and in ``check_bench_regression.py``.
     """
-    from repro.experiments.stream import StreamScheduler
+    from repro.experiments.stream import stream_digest
     from repro.shard import ShardedCalendar
 
     scenario, requests = sharded_stream_workload(n_res, n_requests)
@@ -959,15 +969,21 @@ def bench_sharded_throughput(
         scenario.capacity, scenario.reservations, n_shards=n_shards
     )
 
-    def run_on(base: ShardedCalendar) -> Any:
+    def run_on(base: ShardedCalendar) -> list[Any]:
         _allocmod.clear_memo()
-        return StreamScheduler(scenario, calendar=base.copy()).run(requests)
+        return _bare_stream(scenario, requests, calendar=base.copy())
+
+    def digest(schedules: list[Any]) -> str:
+        return stream_digest(
+            (r.request_id, True, s) for r, s in zip(requests, schedules)
+        )
 
     _allocmod.clear_memo()
-    unsharded_digest = StreamScheduler(scenario).run(requests).digest()
-    k1_s, k1_report = _best_of(lambda: run_on(base_k1), repeats)
-    sharded_s, k_report = _best_of(lambda: run_on(base_k), repeats)
-    if k1_report.digest() != unsharded_digest:
+    unsharded_digest = digest(_bare_stream(scenario, requests))
+    k1_s, k1_schedules = _best_of(lambda: run_on(base_k1), repeats)
+    sharded_s, k_schedules = _best_of(lambda: run_on(base_k), repeats)
+    k1_digest = digest(k1_schedules)
+    if k1_digest != unsharded_digest:
         raise AssertionError(
             "K=1 sharded stream digest diverged from the unsharded engine"
         )
@@ -976,13 +992,13 @@ def bench_sharded_throughput(
         "n_reservations": n_res,
         "n_shards": n_shards,
         "unsharded_digest": unsharded_digest,
-        "k1_digest": k1_report.digest(),
+        "k1_digest": k1_digest,
         "k1_s": k1_s,
         "sharded_s": sharded_s,
         "speedup": k1_s / sharded_s,
         "requests_per_s_k1": n_requests / k1_s,
         "requests_per_s": n_requests / sharded_s,
-        "admitted": sum(1 for o in k_report.outcomes if o.admitted),
+        "admitted": len(k_schedules),
     }
 
 
@@ -1005,13 +1021,14 @@ def run_benchmarks(*, quick: bool = False) -> dict[str, Any]:
             },
             "cpa_allocation": {"n_tasks": 60, "q": 32, "repeats": 2},
             "table4_cell": {"dag_instances": 2, "n_workers": 2, "repeats": 1},
-            # Five repeats: one ~50-140 ms replay per side is too short
-            # for a single run to gate on.
+            # One ~50-140 ms replay per side is too short for a single
+            # run to gate on: best of five, and the median of 21
+            # interleaved pairs for the overhead ratio.
             "streamed_throughput": {
                 "n_requests": 100, "n_res": 1000, "repeats": 5,
             },
             "service_faulted_stream": {
-                "n_requests": 100, "n_res": 1000, "repeats": 5,
+                "n_requests": 100, "n_res": 1000, "pairs": 21,
             },
             "sharded_throughput": {
                 "n_requests": 40, "n_res": 40000, "n_shards": 8,
@@ -1034,7 +1051,7 @@ def run_benchmarks(*, quick: bool = False) -> dict[str, Any]:
                 "n_requests": 300, "n_res": 2000, "repeats": 2,
             },
             "service_faulted_stream": {
-                "n_requests": 300, "n_res": 2000, "repeats": 2,
+                "n_requests": 300, "n_res": 2000, "pairs": 21,
             },
             "sharded_throughput": {
                 "n_requests": 60, "n_res": 100000, "n_shards": 8,

@@ -40,6 +40,10 @@ from repro.workloads import (
 )
 from repro.workloads.reservations import pick_scheduling_time
 
+#: Width of the SLO buckets in a ``repro serve`` RunReport, in
+#: simulation seconds.
+_SLO_BUCKET_S = 900.0
+
 
 def _parse_ressched_algorithm(name: str) -> ResSchedAlgorithm:
     """Parse a paper-style name like ``BL_CPAR_BD_CPAR``."""
@@ -357,71 +361,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_stream(args: argparse.Namespace) -> int:
-    # Deferred import: the stream driver pulls in the experiment layer.
-    from repro.experiments.reporting import run_instrumented
-    from repro.experiments.stream import StreamScheduler, requests_from_specs
-    from repro.obs import timeline as tl
-    from repro.workloads.requests import load_request_stream
-
-    specs = load_request_stream(args.requests)
-    graphs = [from_json(Path(p).read_text()) for p in args.dag]
-    scenario = _load_platform(args)
-    algorithm = _parse_ressched_algorithm(args.algorithm)
-    requests = requests_from_specs(specs, graphs)
-
-    def _run():
-        return StreamScheduler(
-            scenario,
-            algorithm,
-            admission_window=args.admission_window,
-            shards=args.shards,
-        ).run(requests)
-
-    meta = {
-        "requests": str(args.requests),
-        "dags": len(graphs),
-        "shards": args.shards or 1,
-    }
-    want_timeline = args.timeline or args.trace_out is not None
-    if want_timeline:
-        from repro.obs.slo import SloSeries
-
-        with tl.recording(sim_epoch=scenario.now) as timeline:
-            result, report = run_instrumented("stream", _run, meta=meta)
-        report.timeline = timeline.summary()
-        report.slo = SloSeries.from_events(
-            timeline.events, bucket_s=args.slo_bucket, t0=scenario.now
-        ).to_dict()
-        if args.trace_out is not None:
-            n = tl.write_chrome_trace(
-                args.trace_out, timeline, meta={"requests": str(args.requests)}
-            )
-            print(f"wrote {n} chrome trace events to {args.trace_out}")
-    else:
-        result, report = run_instrumented("stream", _run, meta=meta)
-    summary = result.summary()
-    # The summary carries the placement digest, so a report written by a
-    # sharded replay can be diffed against a serial one in CI.
-    report.meta["stream"] = summary
-    print(f"algorithm     {algorithm.name}")
-    print(f"platform      {scenario.capacity} processors, "
-          f"{scenario.n_reservations} competing reservations")
-    print(f"requests      {summary['admitted']} admitted, "
-          f"{summary['rejected']} rejected")
-    print(f"throughput    {summary['requests_per_s']:.1f} requests/s "
-          f"({summary['scheduling_s'] * 1e3:.1f} ms scheduling total)")
-    print(f"latency       p50 {summary['latency_ms']['p50']:.2f} ms, "
-          f"p99 {summary['latency_ms']['p99']:.2f} ms")
-    if summary['admitted']:
-        print(f"turn-around   "
-              f"{summary['mean_turnaround_s'] / HOUR:.2f} h mean")
-    if args.out:
-        Path(args.out).write_text(report.to_json() + "\n")
-        print(f"wrote run report to {args.out}")
-    return 0
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     # Deferred import: the service pulls in the stream + resilience
     # layers.
@@ -470,9 +409,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     }
     want_timeline = args.timeline or args.trace_out is not None
     if want_timeline:
+        from repro.obs.slo import SloSeries
+
         with tl.recording(sim_epoch=scenario.now) as timeline:
             result, report = run_instrumented("serve", _run, meta=meta)
         report.timeline = timeline.summary()
+        report.slo = SloSeries.from_events(
+            timeline.events, bucket_s=_SLO_BUCKET_S, t0=scenario.now
+        ).to_dict()
         if args.trace_out is not None:
             n = tl.write_chrome_trace(
                 args.trace_out, timeline, meta={"requests": str(args.requests)}
@@ -721,60 +665,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser(
-        "stream",
-        help="replay a request-stream CSV against one shared calendar",
-    )
-    p.add_argument(
-        "--requests", type=str, required=True,
-        help="request-stream CSV (request_id,arrival_offset,mode,priority)",
-    )
-    p.add_argument(
-        "--dag", action="append", required=True,
-        help="DAG JSON path; repeat to round-robin several applications",
-    )
-    p.add_argument(
-        "--log", type=str, default=None,
-        help="SWF log path (default: generate from --preset)",
-    )
-    p.add_argument("--preset", type=str, default="SDSC_BLUE")
-    p.add_argument("--phi", type=float, default=0.2)
-    p.add_argument(
-        "--method", choices=("linear", "expo", "real"), default="expo"
-    )
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--algorithm", type=str, default="BL_CPAR_BD_CPAR")
-    p.add_argument(
-        "--out", type=str, default=None,
-        help="write a RunReport JSON (stream.* counters) here",
-    )
-    p.add_argument(
-        "--timeline", action="store_true",
-        help="record the event timeline; adds the timeline/slo sections "
-        "to the RunReport (implied by --trace-out)",
-    )
-    p.add_argument(
-        "--trace-out", type=str, default=None, dest="trace_out",
-        help="write a Chrome trace-event JSON of the replay here",
-    )
-    p.add_argument(
-        "--slo-bucket", type=float, default=900.0, dest="slo_bucket",
-        help="SLO series bucket width in simulation seconds "
-        "(default: 900)",
-    )
-    p.add_argument(
-        "--admission-window", type=float, default=None,
-        dest="admission_window",
-        help="reject requests whose earliest start exceeds arrival by "
-        "more than this many seconds (default: admit everything)",
-    )
-    p.add_argument(
-        "--shards", type=int, default=None,
-        help="partition the platform into this many calendar shards "
-        "(default: unsharded; --shards 1 is bitwise identical)",
-    )
-    p.set_defaults(func=_cmd_stream)
-
-    p = sub.add_parser(
         "serve",
         help="fault-tolerant multi-tenant service replay with quotas, "
         "fault injection and a crash-safe journal",
@@ -854,8 +744,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--timeline", action="store_true",
-        help="record the event timeline; adds the timeline section to "
-        "the RunReport (implied by --trace-out)",
+        help="record the event timeline; adds the timeline and slo "
+        "sections to the RunReport (implied by --trace-out)",
     )
     p.add_argument(
         "--trace-out", type=str, default=None, dest="trace_out",

@@ -27,8 +27,6 @@ from repro.experiments.parallel import (
     run_sweep,
 )
 from repro.experiments.stream import (
-    StreamOutcome,
-    StreamReport,
     StreamRequest,
     StreamScheduler,
     requests_from_specs,
@@ -63,8 +61,6 @@ __all__ = [
     "QuarantinedInstance",
     "SweepOutcome",
     "run_sweep",
-    "StreamOutcome",
-    "StreamReport",
     "StreamRequest",
     "StreamScheduler",
     "requests_from_specs",

@@ -370,7 +370,7 @@ class _Journal:
             if kind == "result":
                 done[rec["idx"]] = (
                     rec["key"],
-                    self._log.decode_payload(rec["payload"]),
+                    self._log.decode_payload(rec["payload"], lineno),
                     rec.get("obs"),
                 )
             else:

@@ -16,6 +16,12 @@ reservations into the one shared, generation-tagged
 :class:`~repro.calendar.calendar.ResourceCalendar`.  Already-booked
 requests are never revisited (advance reservations are contracts).
 
+This module holds the planning half: :class:`StreamScheduler` owns the
+shared calendar and the plan memo and plans one request at a time.  The
+admission loop — arrival order, admission control, commits, faults and
+the request events of the timeline — is
+:class:`repro.service.ReservationService`.
+
 :func:`schedule_stream_naive` is the reference baseline: per request it
 rebuilds a full :class:`~repro.workloads.reservations.ReservationScenario`
 holding everything booked so far and runs the batch
@@ -28,28 +34,17 @@ Counters (``stream.*`` family, in RunReports when instrumented):
 ==============================  ========================================
 counter                         meaning
 ==============================  ========================================
-``stream.requests``             requests admitted
 ``stream.events``               tasks the streamed engine placed
 ``stream.memo.hit`` / ``.miss`` plan-memo hits / misses (repeated DAG
                                 shapes cost zero allocation work)
-``stream.rejected``             requests turned away by admission control
 ==============================  ========================================
-
-When :data:`repro.obs.timeline.ENABLED` is on, every admission also
-emits timed events (``request_arrived``, ``placement_committed`` or
-``request_rejected``) under the request's trace id, and the forward
-loop's per-task events underneath inherit that trace scope — see
-``docs/OBSERVABILITY.md``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Sequence
-
-import numpy as np
-
 import hashlib
+from dataclasses import dataclass, replace
+from typing import Iterable, Sequence
 
 from repro.calendar import ResourceCalendar
 from repro.core.incremental import PlanMemo, schedule_ressched_incremental
@@ -57,10 +52,6 @@ from repro.core.ressched import ResSchedAlgorithm, schedule_ressched
 from repro.shard import ShardedCalendar
 from repro.dag import TaskGraph
 from repro.errors import ServiceError
-from repro.obs import core as _obs
-from repro.obs import stopwatch
-from repro.obs import timeline as _tl
-from repro.obs.slo import percentile_nearest_rank
 from repro.schedule import Schedule
 from repro.workloads.requests import RequestSpec
 from repro.workloads.reservations import ReservationScenario
@@ -89,115 +80,8 @@ class StreamRequest:
     tenant: str = "default"
 
 
-@dataclass(frozen=True)
-class StreamOutcome:
-    """The admission result of one request.
-
-    Attributes:
-        request: The admitted request.
-        arrival: Absolute arrival instant (``epoch + arrival_offset``).
-        schedule: The committed schedule (``schedule.now == arrival``);
-            for a rejected request, the tentative schedule that was
-            discarded (its reservations were never booked).
-        latency_s: Wall-clock seconds this admission's scheduling took
-            (a measurement — not deterministic, excluded from any
-            compute-derived result).
-        admitted: Whether the placements were committed; ``False`` when
-            admission control rejected the request.
-    """
-
-    request: StreamRequest
-    arrival: float
-    schedule: Schedule
-    latency_s: float
-    admitted: bool = True
-
-    @property
-    def turnaround(self) -> float:
-        """The admitted application's turn-around time."""
-        return self.schedule.turnaround
-
-
-@dataclass(frozen=True)
-class StreamReport:
-    """Aggregate view of one replayed stream."""
-
-    outcomes: tuple[StreamOutcome, ...]
-
-    @property
-    def n_requests(self) -> int:
-        """Requests seen (admitted + rejected)."""
-        return len(self.outcomes)
-
-    @property
-    def n_admitted(self) -> int:
-        """Requests whose placements were committed."""
-        return sum(1 for o in self.outcomes if o.admitted)
-
-    @property
-    def n_rejected(self) -> int:
-        """Requests turned away by admission control."""
-        return sum(1 for o in self.outcomes if not o.admitted)
-
-    @property
-    def schedules(self) -> list[Schedule]:
-        """The committed schedules, in admission order."""
-        return [o.schedule for o in self.outcomes if o.admitted]
-
-    def latency_percentiles(
-        self, qs: Sequence[float] = (50.0, 99.0)
-    ) -> dict[str, float]:
-        """Scheduling-latency percentiles in milliseconds, keyed
-        ``"p<q>"`` — nearest-rank semantics, shared with the SLO series
-        (:func:`repro.obs.slo.percentile_nearest_rank`)."""
-        lat = [o.latency_s for o in self.outcomes]
-        return {
-            f"p{q:g}": percentile_nearest_rank(lat, q) * 1e3 for q in qs
-        }
-
-    def digest(self) -> str:
-        """SHA-256 over the deterministic outcome content.
-
-        Covers request ids, admission dispositions, and every committed
-        placement's ``(task, start, nprocs, duration)`` — exactly the
-        compute-derived results, no wall-clock measurements.  Two runs
-        with the same digest placed every task identically; the K=1
-        sharded-vs-unsharded equivalence is asserted on this value.
-        """
-        h = hashlib.sha256()
-        for o in self.outcomes:
-            h.update(o.request.request_id.encode())
-            h.update(b"+" if o.admitted else b"-")
-            for p in o.schedule.placements:
-                h.update(
-                    f"{p.task}:{p.start!r}:{p.nprocs}:{p.duration!r};".encode()
-                )
-        return h.hexdigest()
-
-    def summary(self) -> dict:
-        """JSON-ready aggregate numbers for reports."""
-        total_latency = sum(o.latency_s for o in self.outcomes)
-        admitted = [o for o in self.outcomes if o.admitted]
-        return {
-            "n_requests": self.n_requests,
-            "admitted": len(admitted),
-            "rejected": self.n_requests - len(admitted),
-            "digest": self.digest(),
-            "scheduling_s": total_latency,
-            "requests_per_s": (
-                self.n_requests / total_latency if total_latency > 0 else 0.0
-            ),
-            "latency_ms": self.latency_percentiles(),
-            "mean_turnaround_s": (
-                float(np.mean([o.turnaround for o in admitted]))
-                if admitted
-                else float("nan")
-            ),
-        }
-
-
 class StreamScheduler:
-    """Admits a request stream against one shared calendar.
+    """Plans a request stream against one shared calendar.
 
     One instance owns the platform's booking state for the whole stream:
     a single calendar seeded with the scenario's competing reservations,
@@ -215,14 +99,6 @@ class StreamScheduler:
         tie_break: Completion-tie resolution, as in the batch scheduler.
         memo: Optional shared :class:`~repro.core.incremental.PlanMemo`
             (several streams can share one).
-        admission_window: Optional admission-control bound, seconds: a
-            request whose earliest tentative start exceeds
-            ``arrival + admission_window`` is rejected and its
-            placements are discarded (scheduled against a throwaway
-            :meth:`~repro.calendar.calendar.ResourceCalendar.copy`, so
-            the shared calendar is untouched).  ``None`` (the default)
-            admits everything and keeps the bitwise-identical-to-naive
-            fast path.
         shards: ``None`` (default) books into one unsharded calendar;
             an integer K partitions the platform into a
             :class:`~repro.shard.ShardedCalendar` of K shards (placement
@@ -248,14 +124,9 @@ class StreamScheduler:
         cpa_stopping: str = "stringent",
         tie_break: str = "fewest",
         memo: PlanMemo | None = None,
-        admission_window: float | None = None,
         shards: int | None = None,
         calendar: "ResourceCalendar | ShardedCalendar | None" = None,
     ):
-        if admission_window is not None and not admission_window >= 0:
-            raise ServiceError(
-                f"admission_window must be >= 0, got {admission_window}"
-            )
         if calendar is not None and shards is not None:
             raise ServiceError(
                 "pass either a pre-built calendar or a shard count, not both"
@@ -265,9 +136,6 @@ class StreamScheduler:
         self._cpa_stopping = cpa_stopping
         self._tie_break = tie_break
         self._memo = PlanMemo() if memo is None else memo
-        self._admission_window = (
-            None if admission_window is None else float(admission_window)
-        )
         if calendar is not None:
             self._calendar = calendar
         elif shards is None:
@@ -279,8 +147,6 @@ class StreamScheduler:
                 n_shards=int(shards),
             )
         self._calendar.availability()  # pre-compile once for the stream
-        self._last_offset = 0.0
-        self._outcomes: list[StreamOutcome] = []
 
     @property
     def scenario(self) -> ReservationScenario:
@@ -292,11 +158,6 @@ class StreamScheduler:
         """The shared calendar holding everything booked so far."""
         return self._calendar
 
-    @property
-    def outcomes(self) -> tuple[StreamOutcome, ...]:
-        """Admissions so far, in order."""
-        return tuple(self._outcomes)
-
     def tentative_schedule(
         self,
         request: StreamRequest,
@@ -306,9 +167,9 @@ class StreamScheduler:
     ) -> Schedule:
         """Plan ``request`` at ``arrival`` against ``calendar``.
 
-        The pure planning half of :meth:`admit`: builds (or reuses) the
-        memoized plan and runs the incremental engine against the given
-        calendar — normally a :meth:`~repro.calendar.calendar.ResourceCalendar.copy`
+        Builds (or reuses) the memoized plan and runs the incremental
+        engine against the given calendar, booking the placements into
+        it — normally a :meth:`~repro.calendar.calendar.ResourceCalendar.copy`
         of the shared one, so nothing is committed until the caller
         adopts it.  :class:`repro.service.ReservationService` composes
         this with :meth:`adopt` for its optimistic-concurrency commits.
@@ -359,110 +220,6 @@ class StreamScheduler:
             )
         self._calendar = calendar
 
-    def admit(self, request: StreamRequest) -> StreamOutcome:
-        """Schedule one request at its arrival instant and book it.
-
-        Raises:
-            ServiceError: If the request arrives out of order (offsets
-                must be non-decreasing) or before the stream epoch.
-        """
-        offset = float(request.arrival_offset)
-        if offset < 0:
-            raise ServiceError(
-                f"request {request.request_id!r}: arrival_offset must be "
-                f">= 0, got {offset}"
-            )
-        if offset < self._last_offset:
-            raise ServiceError(
-                f"request {request.request_id!r} arrives at offset "
-                f"{offset} after a request at {self._last_offset}; "
-                "admit requests in non-decreasing arrival order"
-            )
-        self._last_offset = offset
-        arrival = self._scenario.now + offset
-        if _tl.ENABLED:
-            _tl.emit(
-                "request_arrived",
-                arrival,
-                trace=request.request_id,
-                tenant=request.tenant,
-                tasks=request.graph.n,
-                mode=request.mode,
-                priority=request.priority,
-            )
-            _tl.push_trace(request.request_id, request.tenant)
-        # With admission control on, schedule tentatively against a
-        # cheap calendar copy; commit = adopt the copy, reject = drop it.
-        target = (
-            self._calendar
-            if self._admission_window is None
-            else self._calendar.copy()
-        )
-        try:
-            with stopwatch("stream.admit") as sw:
-                schedule = self.tentative_schedule(
-                    request, arrival=arrival, calendar=target
-                )
-        finally:
-            if _tl.ENABLED:
-                _tl.pop_trace()
-        admitted = True
-        if self._admission_window is not None:
-            first_start = min(
-                (p.start for p in schedule.placements), default=arrival
-            )
-            if first_start - arrival > self._admission_window:
-                admitted = False
-            else:
-                self.adopt(target)
-        if admitted:
-            if _obs.ENABLED:
-                _obs.incr("stream.requests")
-                _obs.observe("stream.request.tasks", request.graph.n)
-            if _tl.ENABLED:
-                _tl.emit(
-                    "placement_committed",
-                    # Sim time = scheduled first start, so SLO queue
-                    # depth reads as admitted-but-not-started backlog.
-                    min(
-                        (p.start for p in schedule.placements),
-                        default=arrival,
-                    ),
-                    trace=request.request_id,
-                    tenant=request.tenant,
-                    latency_s=sw.wall_s,
-                    makespan=schedule.turnaround,
-                    tasks=request.graph.n,
-                )
-        else:
-            if _obs.ENABLED:
-                _obs.incr("stream.rejected")
-            if _tl.ENABLED:
-                _tl.emit(
-                    "request_rejected",
-                    arrival,
-                    trace=request.request_id,
-                    tenant=request.tenant,
-                    latency_s=sw.wall_s,
-                    reason="admission-window",
-                    wait_s=first_start - arrival,
-                )
-        outcome = StreamOutcome(
-            request=request,
-            arrival=arrival,
-            schedule=schedule,
-            latency_s=sw.wall_s,
-            admitted=admitted,
-        )
-        self._outcomes.append(outcome)
-        return outcome
-
-    def run(self, requests: Sequence[StreamRequest]) -> StreamReport:
-        """Admit every request in order and return the report."""
-        for request in requests:
-            self.admit(request)
-        return StreamReport(outcomes=tuple(self._outcomes))
-
 
 def schedule_stream_naive(
     scenario: ReservationScenario,
@@ -477,9 +234,10 @@ def schedule_stream_naive(
     For each request, build a fresh scenario whose reservation set is
     the original competing reservations plus every task reservation
     booked so far, and run the batch :func:`~repro.core.schedule_ressched`
-    on it.  Placements are bitwise-identical to
-    :class:`StreamScheduler`'s — this is the equivalence oracle and the
-    benchmark baseline, not a production path.
+    on it.  Placements are bitwise-identical to those of
+    :class:`repro.service.ReservationService` at its default
+    configuration and fault rate zero — this is the equivalence oracle
+    and the benchmark baseline, not a production path.
     """
     booked = list(scenario.reservations)
     schedules: list[Schedule] = []
@@ -507,6 +265,32 @@ def schedule_stream_naive(
         booked.extend(schedule.reservations())
         schedules.append(schedule)
     return schedules
+
+
+def stream_digest(
+    outcomes: Iterable[tuple[str, bool, Schedule | None]],
+) -> str:
+    """SHA-256 over a stream's deterministic outcome content.
+
+    ``outcomes`` yields, per request in processed order, its id,
+    whether it was admitted, and its schedule (the committed one, the
+    discarded tentative one of a rejection, or ``None`` when nothing was
+    planned).  The hash covers the ids, the dispositions and every
+    placement's ``(task, start, nprocs, duration)`` — the
+    compute-derived results, no wall-clock measurements.  Two runs with
+    the same digest placed every task identically; the K=1
+    sharded-vs-unsharded equivalence is asserted on this value.
+    """
+    h = hashlib.sha256()
+    for request_id, admitted, schedule in outcomes:
+        h.update(request_id.encode())
+        h.update(b"+" if admitted else b"-")
+        if schedule is not None:
+            for p in schedule.placements:
+                h.update(
+                    f"{p.task}:{p.start!r}:{p.nprocs}:{p.duration!r};".encode()
+                )
+    return h.hexdigest()
 
 
 def requests_from_specs(

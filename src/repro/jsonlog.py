@@ -88,18 +88,40 @@ class JsonLinesLog:
             fh.flush()
             os.fsync(fh.fileno())
 
-    def decode_payload(self, payload: dict[str, str]) -> Any:
-        """The object :func:`encode_payload` stored in ``payload``.
+    def decode_payload(self, payload: Any, lineno: int) -> Any:
+        """The object :func:`encode_payload` stored in ``payload``, the
+        payload of the record on line ``lineno``.
 
         Raises:
-            ReproError: The owner's error subclass, if the payload was
-                written with another codec.
+            ReproError: The owner's error subclass, naming the file and
+                the line, if the payload is not an object, was written
+                with another codec, lacks its data, or does not decode.
         """
+        where = f"{self.path}: line {lineno}"
+        if not isinstance(payload, dict):
+            raise self._error(f"{where}: payload is not a JSON object")
         if payload.get("codec") != "pickle":
             raise self._error(
-                f"{self.path}: unknown payload codec {payload.get('codec')!r}"
+                f"{where}: unknown payload codec {payload.get('codec')!r}"
             )
-        return pickle.loads(base64.b64decode(payload["data"]))
+        data = payload.get("data")
+        if not isinstance(data, str):
+            raise self._error(f"{where}: payload without its data")
+        # The exceptions caught are those pickle documents for bad
+        # input; binascii.Error is a ValueError.
+        try:
+            return pickle.loads(base64.b64decode(data))
+        except (
+            pickle.UnpicklingError,
+            ValueError,
+            EOFError,
+            AttributeError,
+            ImportError,
+            IndexError,
+        ) as exc:
+            raise self._error(
+                f"{where}: payload does not decode ({type(exc).__name__}: {exc})"
+            ) from None
 
     def _scan(self) -> tuple[list[dict[str, Any]], int]:
         """The whole records and the number of bytes they take up."""

@@ -6,10 +6,12 @@ rejected — are per-time-window facts, not end-of-run aggregates.  This
 module folds :mod:`repro.obs.timeline` events into fixed-width
 simulation-time buckets carrying:
 
-* ``arrivals`` / ``admitted`` / ``rejected`` request counts,
+* ``arrivals`` / ``admitted`` / ``rejected`` request counts (a
+  quarantined request counts as rejected),
 * ``queue_depth`` — admitted-but-not-yet-started backlog at bucket end
-  (arrivals minus commits/rejections, cumulative; deterministic because
-  it is derived from simulation times, not wall clocks),
+  (arrivals minus commits, rejections and quarantines, cumulative;
+  deterministic because it is derived from simulation times, not wall
+  clocks),
 * ``probes`` / ``probe_tasks`` — in-flight batched placement probes,
 * scheduling-latency ``p50``/``p95``/``p99`` (milliseconds), and
 * ``rejection_rate``.
@@ -23,14 +25,19 @@ arithmetic over the values), so any partitioning of the same event
 multiset folds to the identical report section.
 
 :func:`percentile_nearest_rank` is the single percentile definition
-shared with :meth:`repro.experiments.stream.StreamReport.latency_percentiles`
-— one semantics for tables, reports, and SLO buckets.
+of the SLO buckets and the run-wide latency summary.
+
+The events come from :class:`repro.service.ReservationService`, the
+one admission loop; ``repro serve`` folds its timeline into 900 s
+buckets whenever it records one.
 """
 
 from __future__ import annotations
 
 import math
 from typing import Any, Iterable, Sequence
+
+from repro.obs.timeline import REQUEST_CLOSING
 
 __all__ = ["percentile_nearest_rank", "SloSeries"]
 
@@ -139,15 +146,12 @@ class SloSeries:
         ev_type = ev["type"]
         if ev_type == "request_arrived":
             self._bucket_at(sim_t).arrivals += 1
-        elif ev_type == "placement_committed":
+        elif ev_type in REQUEST_CLOSING:
             b = self._bucket_at(sim_t)
-            b.admitted += 1
-            latency = ev.get("latency_s")
-            if latency is not None:
-                b.latencies.append(float(latency))
-        elif ev_type == "request_rejected":
-            b = self._bucket_at(sim_t)
-            b.rejected += 1
+            if ev_type == "placement_committed":
+                b.admitted += 1
+            else:
+                b.rejected += 1
             latency = ev.get("latency_s")
             if latency is not None:
                 b.latencies.append(float(latency))

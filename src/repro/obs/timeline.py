@@ -64,6 +64,15 @@ ENABLED: bool = False
 #: Declared centrally in :mod:`repro.obs.vocab` (the REP009 registry).
 EVENT_TYPES: frozenset[str] = _vocab.EVENTS
 
+#: The event types that close one ``request_arrived``: the request left
+#: the queue admitted, rejected or quarantined.  Queue depth is arrivals
+#: minus these, in the Chrome trace and in :mod:`repro.obs.slo` alike.
+REQUEST_CLOSING: tuple[str, ...] = (
+    "placement_committed",
+    "request_rejected",
+    "request_quarantined",
+)
+
 #: Event-dict keys owned by the timeline itself; ``emit`` rejects
 #: attribute names that would shadow them.
 _RESERVED: frozenset[str] = frozenset(
@@ -329,9 +338,9 @@ def recording(
 # timestamp in MICROSECONDS ("ts"), integer "pid"/"tid", a "name", and
 # free-form "args".  We map span_begin/span_end to duration phases B/E,
 # everything else to instants ("i"), synthesize a "queue_depth" counter
-# track ("C") from arrival/commit/reject events, and name one virtual
-# thread per trace id via "M" metadata so each request gets its own row
-# in the viewer.
+# track ("C") from arrivals and REQUEST_CLOSING events, and name one
+# virtual thread per trace id via "M" metadata so each request gets its
+# own row in the viewer.
 
 #: Single virtual process id for the whole run.
 _PID: int = 1
@@ -440,11 +449,7 @@ def chrome_trace_events(
                     "args": args,
                 }
             )
-            if ev_type in (
-                "request_arrived",
-                "placement_committed",
-                "request_rejected",
-            ):
+            if ev_type == "request_arrived" or ev_type in REQUEST_CLOSING:
                 if ev_type == "request_arrived":
                     queue_depth += 1
                 else:

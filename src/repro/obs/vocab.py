@@ -107,8 +107,6 @@ COUNTERS: frozenset[str] = frozenset(
         "stream.memo.evict",
         "stream.memo.hit",
         "stream.memo.miss",
-        "stream.rejected",
-        "stream.requests",
     }
 )
 
@@ -131,7 +129,6 @@ HISTOGRAMS: frozenset[str] = frozenset(
         "cpa.iterations_per_run",
         "cpa.map_tasks",
         "ressched.candidates_per_task",
-        "stream.request.tasks",
     }
 )
 
@@ -148,7 +145,6 @@ SPANS: frozenset[str] = frozenset(
         "resilience.execute",
         "resilience.repair",
         "service.admit",
-        "stream.admit",
     }
 )
 

@@ -3,9 +3,10 @@
 The :class:`ServiceConfig` defaults are the *reduction* configuration:
 unlimited quotas, no shedding, no admission window, zero commit latency.
 With those defaults and a zero fault rate,
-:class:`repro.service.ReservationService` reproduces
-:class:`repro.experiments.stream.StreamScheduler` output bitwise — every
-knob here only ever *adds* behaviour on top of the bare stream.
+:class:`repro.service.ReservationService` admits every request and
+reproduces :func:`repro.experiments.stream.schedule_stream_naive`
+bitwise — every knob here only ever *adds* behaviour on top of the bare
+stream.
 
 The commit-retry backoff mirrors the capped exponential shape of
 :class:`repro.resilience.repair.RepairConfig` (``base * 2**(k-1)``,
@@ -63,11 +64,11 @@ class ServiceConfig:
             to ``default_quota``.
         default_quota: Quota applied to tenants without an override
             (default: unlimited).
-        admission_window: As in
-            :class:`~repro.experiments.stream.StreamScheduler` — a
-            request whose earliest tentative start exceeds
-            ``arrival + admission_window`` is rejected.  ``None`` admits
-            everything.
+        admission_window: Admission-control bound, seconds: a request
+            whose earliest tentative start exceeds
+            ``arrival + admission_window`` is rejected, and its
+            tentative placements (planned on a calendar copy) are never
+            booked.  ``None`` admits everything.
         shed_backlog: Load-shedding pressure threshold, measured as the
             number of admitted-but-not-yet-started requests at arrival.
             Batch-class requests degrade first: at ``>= shed_backlog``

@@ -1,8 +1,9 @@
 """The fault-tolerant multi-tenant reservation service.
 
-:class:`ReservationService` wraps the streamed engine
-(:class:`repro.experiments.stream.StreamScheduler`) with the robustness
-layers an online deployment needs:
+:class:`ReservationService` is the admission loop of the streamed
+engine: it takes a request stream in arrival order, plans each request
+through :class:`repro.experiments.stream.StreamScheduler`, and adds the
+robustness layers an online deployment needs:
 
 * **Admission control** — per-tenant quotas on concurrently active
   requests and booked CPU-hours, the stream's admission window, and
@@ -35,8 +36,10 @@ layers an online deployment needs:
 
 Reduction property (asserted by the tier-1 tests and ``repro bench``):
 at fault rate zero with the default :class:`~repro.service.ServiceConfig`
-the service's placements are bitwise-identical to
-:meth:`StreamScheduler.run <repro.experiments.stream.StreamScheduler.run>`.
+the service admits every request, and its placements and booked set are
+bitwise-identical to
+:func:`~repro.experiments.stream.schedule_stream_naive`, which
+reschedules the whole platform from scratch for each request.
 """
 
 from __future__ import annotations
@@ -220,6 +223,11 @@ class ServiceReport:
         }
 
 
+def _first_start(schedule: Schedule, arrival: float) -> float:
+    """The schedule's earliest placement start (``arrival`` if empty)."""
+    return min((p.start for p in schedule.placements), default=arrival)
+
+
 @dataclass
 class _Committed:
     """Book-keeping for one admitted request's live reservations."""
@@ -380,7 +388,7 @@ class ReservationService:
 
     @property
     def scheduler(self) -> StreamScheduler:
-        """The wrapped streamed engine (owns the shared calendar)."""
+        """The stream's planner (owns the shared calendar)."""
         return self._scheduler
 
     @property
@@ -662,10 +670,7 @@ class ReservationService:
                 continue
             break
         if cfg.admission_window is not None:
-            first_start = min(
-                (p.start for p in schedule.placements), default=arrival
-            )
-            if first_start - arrival > cfg.admission_window:
+            if _first_start(schedule, arrival) - arrival > cfg.admission_window:
                 return self._reject(
                     request,
                     arrival,
@@ -698,7 +703,9 @@ class ReservationService:
         if _tl.ENABLED:
             _tl.emit(
                 "placement_committed",
-                min((p.start for p in schedule.placements), default=arrival),
+                # Sim time = scheduled first start, so SLO queue depth
+                # reads as admitted-but-not-started backlog.
+                _first_start(schedule, arrival),
                 trace=request.request_id,
                 tenant=request.tenant,
                 latency_s=sw.wall_s,
@@ -761,12 +768,20 @@ class ReservationService:
             }.get(reason, "quota")
             _obs.incr(f"service.rejected.{key}")
         if _tl.ENABLED:
+            # A planned request carries its planning latency, and a
+            # window rejection how long it would have waited.
+            timing: dict[str, float] = {}
+            if schedule is not None:
+                timing["latency_s"] = latency_s
+                if reason == "admission-window":
+                    timing["wait_s"] = _first_start(schedule, arrival) - arrival
             _tl.emit(
                 "request_rejected",
                 arrival,
                 trace=request.request_id,
                 tenant=request.tenant,
                 reason=reason,
+                **timing,
             )
         return ServiceOutcome(
             request=request,
@@ -1030,7 +1045,12 @@ class ReservationService:
                         raise ServiceError(
                             f"{where}: outcome record without a payload"
                         )
-                    outcome = journal.decode_payload(rec["payload"])
+                    outcome = journal.decode_payload(rec["payload"], lineno)
+                    if not isinstance(outcome, ServiceOutcome):
+                        raise ServiceError(
+                            f"{where}: outcome payload holds type "
+                            f"{type(outcome).__name__!r}, not ServiceOutcome"
+                        )
                     expected = (
                         requests[self._done].request_id
                         if self._done < len(requests)

@@ -139,10 +139,11 @@ class ServiceJournal:
             rec["shards"] = list(shards)
         self._log.append(rec)
 
-    def decode_payload(self, payload: dict[str, str]) -> Any:
-        """The outcome an ``outcome`` record's payload holds; raises
-        :class:`~repro.errors.ServiceError` for another codec."""
-        return self._log.decode_payload(payload)
+    def decode_payload(self, payload: Any, lineno: int) -> Any:
+        """The object the payload of the ``outcome`` record on line
+        ``lineno`` holds; raises :class:`~repro.errors.ServiceError`,
+        naming the file and line, for a payload that does not decode."""
+        return self._log.decode_payload(payload, lineno)
 
     def record_fault(self, idx: int) -> None:
         """Checkpoint that fault ``idx`` of the deterministic trace was

@@ -206,6 +206,8 @@ class TestReportResilience:
 
 
 class TestStream:
+    """``repro serve`` at its defaults replays a request stream."""
+
     @pytest.fixture()
     def dag_file(self, tmp_path):
         out = tmp_path / "app.json"
@@ -224,7 +226,7 @@ class TestStream:
         )
         report = tmp_path / "stream.json"
         rc = main(
-            ["stream", "--requests", str(csv_path), "--dag", dag_file,
+            ["serve", "--requests", str(csv_path), "--dag", dag_file,
              "--out", str(report)]
         )
         assert rc == 0
@@ -232,14 +234,14 @@ class TestStream:
         assert "3 admitted" in out
         doc = json.loads(report.read_text())
         validate_run_report(doc)
-        assert doc["counters"]["stream.requests"] == 3
+        assert doc["counters"]["service.admitted"] == 3
         assert doc["counters"]["stream.events"] == 18  # 3 requests x 6 tasks
 
     def test_bad_csv_exit_code(self, dag_file, tmp_path, capsys):
         csv_path = tmp_path / "reqs.csv"
         csv_path.write_text("request_id,arrival_offset\nx,not-a-number\n")
         rc = main(
-            ["stream", "--requests", str(csv_path), "--dag", dag_file]
+            ["serve", "--requests", str(csv_path), "--dag", dag_file]
         )
         assert rc == 2
         assert "row 1" in capsys.readouterr().err

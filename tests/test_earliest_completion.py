@@ -24,9 +24,10 @@ from repro.calendar import Reservation, ResourceCalendar
 from repro.core import ResSchedAlgorithm, schedule_ressched
 from repro.dag import DagGenParams, random_task_graph
 from repro.errors import CalendarError
-from repro.experiments.stream import StreamRequest, StreamScheduler
+from repro.experiments.stream import StreamRequest
 from repro.obs import timeline as tl
 from repro.rng import make_rng
+from repro.service import ReservationService
 from repro.shard import ShardedCalendar
 from repro.workloads.reservations import ReservationScenario
 
@@ -346,7 +347,7 @@ class TestDrivers:
         n_tasks = sum(g.n for g in graphs)
         with tl.recording(sim_epoch=0.0) as timeline:
             with obs.instrumented() as col:
-                StreamScheduler(scenario).run(reqs)
+                ReservationService(scenario).run(reqs)
         assert col.counters["stream.events"] == n_tasks
         probes = [ev for ev in timeline.events if ev["type"] == "probe_batch"]
         assert len(probes) == n_tasks

@@ -1,7 +1,8 @@
 """Golden digests of the forward RESSCHED engine.
 
-Pins :meth:`StreamReport.digest` of streamed runs (every shard count,
-both tie-breaks, three BL/BD combinations) and a hash of
+Pins :func:`~repro.experiments.stream.stream_digest` of service runs
+(every shard count, both tie-breaks, three BL/BD combinations) and a
+hash of
 :func:`~repro.core.schedule_ressched` placements over the twelve paper
 algorithms, with and without ready floors.  The values were recorded
 while the streamed engine still ran its own heap-backed ready queue
@@ -17,12 +18,13 @@ from dataclasses import replace
 import pytest
 
 from repro.core import RESSCHED_ALGORITHMS, ResSchedAlgorithm, schedule_ressched
-from repro.experiments.stream import StreamScheduler
+from repro.experiments.stream import stream_digest
 from repro.rng import make_rng
+from repro.service import ReservationService
 from test_incremental import _graph, _random_scenario
 from test_shard import _requests, _scenario
 
-#: (shards, tie_break, algorithm) -> StreamReport digest.  ``shards=None``
+#: (shards, tie_break, algorithm) -> stream digest.  ``shards=None``
 #: is checked against K = 1 (the two reduce bitwise).
 STREAM_GOLDEN: dict[tuple[int, str, str], str] = {
     (1, "fewest", "BL_CPAR_BD_CPAR"): "b578fcbcd55c3c6a51c0e4b91f2e648bf5aa8795b0d48fca6342cfa62e8d2e9d",
@@ -88,9 +90,12 @@ def test_batch_digest(algorithm):
 
 
 def _stream_digest(shards, tie_break, algorithm):
-    return StreamScheduler(
+    report = ReservationService(
         _scenario(), algorithm, tie_break=tie_break, shards=shards
-    ).run(_requests(20)).digest()
+    ).run(_requests(20))
+    return stream_digest(
+        (o.request.request_id, o.admitted, o.schedule) for o in report.outcomes
+    )
 
 
 def _batch_digest(algorithm):

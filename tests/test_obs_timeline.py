@@ -7,8 +7,8 @@ the Chrome trace-event exporter (structural validity, B/E balance,
 counter track, clock selection), the shared nearest-rank percentile
 helper, SLO bucket folding with partition-merge bitwise stability, the
 RunReport timeline/slo sections, end-to-end instrumentation of the
-streamed engine and the resilience repair path, the disabled-mode
-overhead bound, and the CLI surfaces."""
+service's admission loop and the resilience repair path, the
+disabled-mode overhead bound, and the CLI surfaces."""
 
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ from repro.calendar import Reservation
 from repro.cli import main
 from repro.dag import DagGenParams, random_task_graph
 from repro.errors import ServiceError
-from repro.experiments.stream import StreamRequest, StreamScheduler
+from repro.experiments.stream import StreamRequest
 from repro.obs import (
     SchemaError,
     SloSeries,
@@ -37,6 +37,7 @@ from repro.obs import timeline as tl
 from repro.obs.report import Collector, RunReport
 from repro.resilience import FaultEvent, execute_resilient
 from repro.rng import make_rng
+from repro.service import ReservationService, ServiceConfig
 from repro.units import HOUR
 from repro.workloads.reservations import ReservationScenario
 
@@ -229,9 +230,9 @@ class TestSpanBridge:
 def _spanning_timeline():
     t = Timeline(sim_epoch=100.0)
     t.emit("request_arrived", 100.0, trace="q0", tasks=3)
-    t.emit("span_begin", None, trace="q0", name="stream.admit")
+    t.emit("span_begin", None, trace="q0", name="service.admit")
     t.emit("probe_batch", 110.0, trace="q0", tasks=3)
-    t.emit("span_end", None, trace="q0", name="stream.admit")
+    t.emit("span_end", None, trace="q0", name="service.admit")
     t.emit("placement_committed", 120.0, trace="q0", latency_s=0.001)
     t.emit("request_arrived", 130.0, trace="q1", tasks=2)
     t.emit("request_rejected", 130.0, trace="q1", latency_s=0.002)
@@ -337,14 +338,6 @@ class TestPercentileNearestRank:
         with pytest.raises(ValueError, match="percentile"):
             percentile_nearest_rank([1.0], -0.1)
 
-    def test_stream_report_shares_the_helper(self):
-        scenario = _scenario()
-        report = StreamScheduler(scenario).run(_requests(5))
-        lat = [o.latency_s for o in report.outcomes]
-        got = report.latency_percentiles((50.0, 99.0))
-        assert got["p50"] == percentile_nearest_rank(lat, 50.0) * 1e3
-        assert got["p99"] == percentile_nearest_rank(lat, 99.0) * 1e3
-
 
 class TestSloSeries:
     def _events(self):
@@ -408,7 +401,7 @@ class TestSloSeries:
         at any worker count yields an identical slo section."""
         scenario = _scenario()
         with tl.recording(sim_epoch=scenario.now) as t:
-            StreamScheduler(scenario).run(_requests(6))
+            ReservationService(scenario).run(_requests(6))
         events = t.events
         assert events
 
@@ -472,7 +465,7 @@ class TestRunReportSections:
 
 
 # ----------------------------------------------------------------------
-# Streamed engine instrumentation (end to end)
+# Admission-loop instrumentation (end to end)
 # ----------------------------------------------------------------------
 
 
@@ -481,7 +474,7 @@ class TestStreamTimeline:
         scenario = _scenario()
         reqs = _requests(4)
         with tl.recording(sim_epoch=scenario.now) as t:
-            report = StreamScheduler(scenario).run(reqs)
+            report = ReservationService(scenario).run(reqs)
         by_type = t.summary()["by_type"]
         assert by_type["request_arrived"] == 4
         assert by_type["placement_committed"] == 4
@@ -511,7 +504,7 @@ class TestStreamTimeline:
         scenario = _scenario()
         graph = _requests(1)[0].graph
         with tl.recording(sim_epoch=scenario.now) as streamed:
-            StreamScheduler(scenario).run(_requests(1))
+            ReservationService(scenario).run(_requests(1))
         with tl.recording(sim_epoch=scenario.now) as batch:
             schedule = schedule_ressched(graph, scenario)
         for t in (streamed, batch):
@@ -535,9 +528,9 @@ class TestStreamTimeline:
     def test_replay_is_deterministic_modulo_wall_clock(self):
         scenario = _scenario()
         with tl.recording(sim_epoch=scenario.now) as t1:
-            StreamScheduler(scenario).run(_requests(4))
+            ReservationService(scenario).run(_requests(4))
         with tl.recording(sim_epoch=scenario.now) as t2:
-            StreamScheduler(scenario).run(_requests(4))
+            ReservationService(scenario).run(_requests(4))
         assert _strip_wall(t1.events) == _strip_wall(t2.events)
 
     def test_instrumentation_does_not_perturb_placements(self):
@@ -548,17 +541,19 @@ class TestStreamTimeline:
                 for p in o.schedule.placements
             ]
 
-        bare = StreamScheduler(_scenario()).run(_requests(4))
+        bare = ReservationService(_scenario()).run(_requests(4))
         with tl.recording():
-            traced = StreamScheduler(_scenario()).run(_requests(4))
+            traced = ReservationService(_scenario()).run(_requests(4))
         assert _sig(traced) == _sig(bare)
 
     def test_admission_window_rejects_and_emits(self):
         scenario = _scenario()
         reqs = _requests(4)
-        sched = StreamScheduler(scenario, admission_window=0.0)
+        service = ReservationService(
+            scenario, config=ServiceConfig(admission_window=0.0)
+        )
         with tl.recording(sim_epoch=scenario.now) as t:
-            report = sched.run(reqs)
+            report = service.run(reqs)
         assert report.n_admitted + report.n_rejected == 4
         assert report.n_rejected > 0
         rejected = [ev for ev in t.events if ev["type"] == "request_rejected"]
@@ -567,7 +562,7 @@ class TestStreamTimeline:
             assert ev["reason"] == "admission-window"
             assert ev["wait_s"] > 0.0
         # Rejected requests book nothing on the shared calendar.
-        booked = len(sched.calendar.reservations)
+        booked = len(service.calendar.reservations)
         expected = len(scenario.reservations) + sum(
             o.request.graph.n for o in report.outcomes if o.admitted
         )
@@ -576,26 +571,27 @@ class TestStreamTimeline:
         assert len(report.schedules) == report.n_admitted
 
     def test_admission_window_none_admits_everything(self):
-        report = StreamScheduler(_scenario()).run(_requests(3))
+        report = ReservationService(_scenario()).run(_requests(3))
         assert report.n_admitted == 3 and report.n_rejected == 0
         assert all(o.admitted for o in report.outcomes)
 
     def test_negative_admission_window_rejected(self):
         with pytest.raises(ServiceError, match="admission_window"):
-            StreamScheduler(_scenario(), admission_window=-1.0)
+            ServiceConfig(admission_window=-1.0)
 
     def test_rejected_requests_counted_in_obs(self):
         from repro import obs
 
         with obs.instrumented() as col:
-            StreamScheduler(_scenario(), admission_window=0.0).run(
-                _requests(4)
-            )
+            ReservationService(
+                _scenario(), config=ServiceConfig(admission_window=0.0)
+            ).run(_requests(4))
         counters = col.to_dict()["counters"]
-        assert counters.get("stream.requests", 0) + counters.get(
-            "stream.rejected", 0
+        assert counters["service.requests"] == 4
+        assert counters.get("service.admitted", 0) + counters.get(
+            "service.rejected.window", 0
         ) == 4
-        assert counters.get("stream.rejected", 0) > 0
+        assert counters.get("service.rejected.window", 0) > 0
 
 
 # ----------------------------------------------------------------------
@@ -651,12 +647,12 @@ def _per_call(fn, n, repeats=3):
 
 
 class TestDisabledOverheadTimeline:
-    """The timeline guards must add <2% to one streamed admission.
+    """The timeline guards must add <2% to one service admission.
 
     Same analytic scheme as ``test_obs.TestDisabledOverhead``: price one
     ``if _tl.ENABLED`` site (branch, or the guarded module-level
     ``emit`` no-op — whichever is dearer) and compare the summed site
-    cost against the measured cost of admitting one request."""
+    cost against the measured per-request cost of a service run."""
 
     def _site_cost(self):
         def guarded_noop():
@@ -671,13 +667,15 @@ class TestDisabledOverheadTimeline:
         assert not tl.is_enabled()
         scenario = _scenario()
         reqs = _requests(40, spacing=50.0, n_tasks=6)
-        sched = StreamScheduler(scenario)
-        it = iter(reqs)
+        service = ReservationService(scenario)
 
-        per_admit = _per_call(lambda: sched.admit(next(it)), 30, repeats=1)
-        # Sites on one admission: arrival/commit/reject + trace
-        # push/pop in stream.admit (4), and task_ready/probe_batch/
-        # task_placed per task (3 per task, ~6 tasks).
+        t0 = time.perf_counter()
+        service.run(reqs)
+        per_admit = (time.perf_counter() - t0) / len(reqs)
+        # Sites on one admission without faults: request_arrived,
+        # trace push/pop around service.admit and placement_committed
+        # (4), and task_ready/probe_batch/task_placed per task (3 per
+        # task, 6 tasks).
         n_sites = 4 + 3 * 6
         assert n_sites * self._site_cost() < 0.02 * per_admit
 
@@ -722,9 +720,8 @@ class TestCliTimeline:
         report = tmp_path / "stream.json"
         trace = tmp_path / "stream_trace.json"
         rc = main(
-            ["stream", "--requests", str(csv_path), "--dag", dag_file,
-             "--out", str(report), "--trace-out", str(trace),
-             "--slo-bucket", "600"]
+            ["serve", "--requests", str(csv_path), "--dag", dag_file,
+             "--out", str(report), "--trace-out", str(trace)]
         )
         assert rc == 0
         doc = json.loads(report.read_text())
@@ -735,7 +732,7 @@ class TestCliTimeline:
                      "probe_batch", "task_placed"):
             assert timeline["by_type"].get(kind, 0) > 0, kind
         slo = doc["slo"]
-        assert slo["bucket_s"] == 600.0
+        assert slo["bucket_s"] == 900.0
         assert slo["requests"] == 3 and slo["admitted"] == 3
         assert slo["buckets"]
         assert slo["latency_ms"]["p50"] is not None
@@ -750,7 +747,7 @@ class TestCliTimeline:
             "request_id,arrival_offset\nr1,0\nr2,10\nr3,20\n"
         )
         rc = main(
-            ["stream", "--requests", str(csv_path), "--dag", dag_file,
+            ["serve", "--requests", str(csv_path), "--dag", dag_file,
              "--admission-window", "0"]
         )
         assert rc == 0

@@ -244,8 +244,16 @@ class TestJournal:
              r"sweep\.jsonl: line 3: a result record needs the fields"),
             (lambda recs: recs.__setitem__(2, [1, 2]),
              r"sweep\.jsonl: line 3 is not a JSON object"),
+            (lambda recs: recs[2].update(payload={"codec": "pickle"}),
+             r"sweep\.jsonl: line 3: payload without its data"),
+            (lambda recs: recs[2].update(payload="x"),
+             r"sweep\.jsonl: line 3: payload is not a JSON object"),
+            (lambda recs: recs[2].update(
+                payload={"codec": "pickle", "data": "!!!"}),
+             r"sweep\.jsonl: line 3: payload does not decode"),
         ],
-        ids=["version", "type", "payload", "idx", "list"],
+        ids=["version", "type", "payload", "idx", "list", "payload-data",
+             "payload-object", "payload-pickle"],
     )
     def test_malformed_record_refused(self, tmp_path, corrupt, match):
         path = tmp_path / "sweep.jsonl"

@@ -15,7 +15,9 @@ from repro.core.ressched import ResSchedAlgorithm
 from repro.dag import DagGenParams, random_task_graph
 from repro.errors import QuotaError, ServiceError
 from repro.experiments.reporting import run_instrumented
-from repro.experiments.stream import StreamRequest, StreamScheduler
+from repro.experiments.stream import StreamRequest, schedule_stream_naive
+from repro.jsonlog import encode_payload
+from repro.obs import SloSeries, chrome_trace_events
 from repro.obs import timeline as tl
 from repro.resilience.faults import FaultModel
 from repro.rng import make_rng
@@ -103,19 +105,18 @@ def _cas_digest(_=None):
 class TestReduction:
     def test_rate_zero_defaults_equal_stream_scheduler_bitwise(self):
         """No faults + unlimited quotas: the robustness layer must add
-        nothing — placements and booked state match the bare stream."""
+        nothing — placements and booked state match N full passes."""
         reqs = _requests(10)
-        bare_sched = StreamScheduler(_scenario())
-        bare = bare_sched.run(reqs)
-        service = ReservationService(_scenario())
-        report = service.run(reqs)
+        naive = schedule_stream_naive(_scenario(), reqs)
+        report = ReservationService(_scenario()).run(reqs)
         assert report.n_admitted == len(reqs)
         assert report.n_rejected == 0 and not report.dead_letters
-        for a, b in zip(bare.schedules, report.schedules):
-            assert _sig(a) == _sig(b)
+        assert [_sig(s) for s in report.schedules] == [_sig(s) for s in naive]
+        booked = list(_scenario().reservations) + [
+            r for s in naive for r in s.reservations()
+        ]
         assert sorted(
-            (r.start, r.end, r.nprocs, r.label)
-            for r in bare_sched.calendar.reservations
+            (r.start, r.end, r.nprocs, r.label) for r in booked
         ) == list(report.booked)
 
     def test_default_config_is_reduction(self):
@@ -223,6 +224,31 @@ class TestCasRetry:
             o.reason == "commit-retries-exhausted" for o in starved
         )
         assert len(report.dead_letters) == len(starved)
+
+    def test_dead_letter_leaves_the_queue(self):
+        """A quarantined request closes its arrival: both queue-depth
+        folds of the timeline end empty, and the SLO series counts the
+        quarantine as a rejection."""
+        config = ServiceConfig(
+            commit_latency=600.0,
+            retry_backoff_base=30.0,
+            commit_retry_cap=1,
+        )
+        with tl.recording() as timeline:
+            report = ReservationService(
+                _scenario(), fault_model=FaultModel.from_rate(400.0), seed=3,
+                config=config,
+            ).run(_requests(8))
+        assert report.dead_letters
+        slo = SloSeries.from_events(timeline.events, bucket_s=900.0).to_dict()
+        assert slo["buckets"][-1]["queue_depth"] == 0
+        assert slo["admitted"] + slo["rejected"] == slo["requests"] == 8
+        depths = [
+            ev["args"]["requests"]
+            for ev in chrome_trace_events(timeline)
+            if ev["name"] == "queue_depth"
+        ]
+        assert depths[-1] == 0
 
     def test_backoff_is_capped_exponential(self):
         config = ServiceConfig(
@@ -472,6 +498,30 @@ def _repeated_outcome(records):
     return i + 2, "outcome for request 'q0', but the stream's next request is 'q1'"
 
 
+def _payload_without_data(records):
+    i = _first(records, "outcome")
+    records[i]["payload"] = {"codec": "pickle"}
+    return i + 1, "payload without its data"
+
+
+def _payload_not_an_object(records):
+    i = _first(records, "outcome")
+    records[i]["payload"] = "x"
+    return i + 1, "payload is not a JSON object"
+
+
+def _payload_not_a_pickle(records):
+    i = _first(records, "outcome")
+    records[i]["payload"] = {"codec": "pickle", "data": "!!!"}
+    return i + 1, "payload does not decode"
+
+
+def _payload_not_an_outcome(records):
+    i = _first(records, "outcome")
+    records[i]["payload"] = encode_payload(1)
+    return i + 1, "outcome payload holds type 'int', not ServiceOutcome"
+
+
 class TestMalformedJournal:
     """A journal line that decodes but is not the record the restore
     expects is refused with the file and line, before any request."""
@@ -486,6 +536,10 @@ class TestMalformedJournal:
             _misspelt_type,
             _drop_payload,
             _repeated_outcome,
+            _payload_without_data,
+            _payload_not_an_object,
+            _payload_not_a_pickle,
+            _payload_not_an_outcome,
         ],
     )
     def test_refused_naming_file_and_line(self, tmp_path, corrupt):
@@ -667,6 +721,8 @@ class TestQuotasAndShedding:
             ServiceConfig(commit_latency=-1.0)
         with pytest.raises(ServiceError, match="admission_window"):
             ServiceConfig(admission_window=float("nan"))
+        with pytest.raises(ServiceError, match="admission_window"):
+            ServiceConfig(admission_window=-5.0)
 
     def test_admission_window_rejection_keeps_tentative(self):
         report = ReservationService(
@@ -676,6 +732,24 @@ class TestQuotasAndShedding:
         for outcome in report.outcomes:
             assert outcome.reason == "admission-window"
             assert outcome.schedule is not None  # kept for diagnostics
+
+    def test_window_rejections_carry_their_latency(self):
+        """A planned-then-rejected request reports its planning latency
+        and its wait on the timeline, so the SLO series sees it."""
+        with tl.recording() as timeline:
+            report = ReservationService(
+                _blocked_scenario(), config=ServiceConfig(admission_window=0.0)
+            ).run(_requests(4, spacing=1.0))
+        assert report.n_rejected == 4
+        rejected = [
+            ev for ev in timeline.events if ev["type"] == "request_rejected"
+        ]
+        for ev, outcome in zip(rejected, report.outcomes, strict=True):
+            assert ev["latency_s"] == outcome.latency_s > 0.0
+            first = min(p.start for p in outcome.schedule.placements)
+            assert ev["wait_s"] == first - outcome.arrival > 0.0
+        slo = SloSeries.from_events(timeline.events, bucket_s=900.0).to_dict()
+        assert slo["latency_ms"]["p50"] is not None
 
 
 class TestDeadLetterIsolation:
@@ -787,6 +861,8 @@ class TestObservability:
         counters = doc["counters"]
         assert counters["service.requests"] == len(reqs)
         assert counters["service.admitted"] == len(reqs)
+        assert counters["stream.events"] == sum(r.graph.n for r in reqs)
+        assert counters["stream.memo.miss"] >= 1
         assert counters["service.faults.arrival"] >= 1
         assert counters["service.revocations"] >= 1
         assert counters["service.rebooked"] >= 1

@@ -2,8 +2,8 @@
 
 Covers the partitioning/water-filling invariants, the deterministic
 probe fan-out/reduce, the two-phase cross-shard commit protocol, the
-K = 1 bitwise reduction to the unsharded engine (stream and service),
-whole-shard downtime faults forcing cross-shard repair, resume of a
+K = 1 bitwise reduction of the faulted service to the unsharded one
+(``test_engine_digests`` pins the fault-free stream's), whole-shard downtime faults forcing cross-shard repair, resume of a
 sharded service over its journal, and the refusal of probe workers.
 """
 
@@ -20,7 +20,7 @@ from repro import obs
 from repro.calendar import Reservation, ResourceCalendar
 from repro.dag import DagGenParams, random_task_graph
 from repro.errors import CalendarError, ServiceError, ShardCommitError
-from repro.experiments.stream import StreamRequest, StreamScheduler
+from repro.experiments.stream import StreamRequest
 from repro.obs import core as obs_core
 from repro.resilience.faults import FaultModel
 from repro.rng import make_rng
@@ -263,11 +263,6 @@ class TestTwoPhaseCommit:
 
 
 class TestK1Reduction:
-    def test_stream_digest_matches_unsharded(self):
-        plain = StreamScheduler(_scenario()).run(_requests())
-        k1 = StreamScheduler(_scenario(), shards=1).run(_requests())
-        assert k1.digest() == plain.digest()
-
     def test_faulted_service_digest_matches_unsharded(self):
         model = FaultModel.from_rate(150.0)
         plain = ReservationService(

@@ -1,12 +1,12 @@
-"""Tests for the streamed scheduling engine (repro.experiments.stream)
-and the replayable request-stream loader (repro.workloads.requests)."""
+"""Tests for the streamed scheduling engine (repro.experiments.stream),
+driven through its one admission loop (repro.service), and the
+replayable request-stream loader (repro.workloads.requests)."""
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from repro.calendar import Reservation
@@ -15,11 +15,11 @@ from repro.errors import ServiceError, WorkloadError
 from repro.experiments.reporting import run_instrumented
 from repro.experiments.stream import (
     StreamRequest,
-    StreamScheduler,
     requests_from_specs,
     schedule_stream_naive,
 )
 from repro.rng import make_rng
+from repro.service import ReservationService, ServiceConfig
 from repro.workloads.requests import (
     PRIORITY_VALUES,
     RequestSpec,
@@ -75,22 +75,42 @@ def _sig(schedule):
     ]
 
 
+def _blocked():
+    """A platform fully booked on [0, 50,000): every admission waits."""
+    return ReservationScenario(
+        name="blocked",
+        capacity=8,
+        now=0.0,
+        reservations=(
+            Reservation(start=0.0, end=50_000.0, nprocs=8, label="block"),
+        ),
+        hist_avg_available=4,
+    )
+
+
+def _windowed(scenario, window):
+    return ReservationService(
+        scenario, config=ServiceConfig(admission_window=window)
+    )
+
+
 class TestStreamScheduler:
+    """The streamed engine's placements, admitted by the service."""
+
     def test_streamed_equals_naive_bitwise(self):
         scenario = _scenario()
         reqs = _requests(10)
         naive = schedule_stream_naive(scenario, reqs)
-        report = StreamScheduler(scenario).run(reqs)
-        assert report.n_requests == len(reqs)
-        for a, b in zip(naive, report.schedules):
-            assert _sig(a) == _sig(b)
+        report = ReservationService(scenario).run(reqs)
+        assert report.n_admitted == len(reqs)
+        assert [_sig(s) for s in report.schedules] == [_sig(s) for s in naive]
 
     def test_admissions_accumulate_on_one_calendar(self):
         scenario = _scenario()
         reqs = _requests(4)
-        sched = StreamScheduler(scenario)
-        sched.run(reqs)
-        booked = len(sched.calendar.reservations)
+        service = ReservationService(scenario)
+        service.run(reqs)
+        booked = len(service.calendar.reservations)
         expected = len(scenario.reservations) + sum(
             r.graph.n for r in reqs
         )
@@ -99,7 +119,7 @@ class TestStreamScheduler:
     def test_schedule_now_is_arrival(self):
         scenario = _scenario()
         reqs = _requests(3, spacing=500.0)
-        report = StreamScheduler(scenario).run(reqs)
+        report = ReservationService(scenario).run(reqs)
         for outcome, req in zip(report.outcomes, reqs):
             assert outcome.arrival == scenario.now + req.arrival_offset
             assert outcome.schedule.now == outcome.arrival
@@ -109,63 +129,33 @@ class TestStreamScheduler:
         g = random_task_graph(DagGenParams(n=5), make_rng(1))
         bad = StreamRequest(request_id="x", arrival_offset=-1.0, graph=g)
         with pytest.raises(ServiceError, match="arrival_offset"):
-            StreamScheduler(scenario).admit(bad)
+            ReservationService(scenario).run([bad])
 
     def test_decreasing_offsets_rejected(self):
         scenario = _scenario()
         g = random_task_graph(DagGenParams(n=5), make_rng(1))
-        sched = StreamScheduler(scenario)
-        sched.admit(StreamRequest(request_id="a", arrival_offset=100.0, graph=g))
+        reqs = [
+            StreamRequest(request_id="a", arrival_offset=100.0, graph=g),
+            StreamRequest(request_id="b", arrival_offset=50.0, graph=g),
+        ]
         with pytest.raises(ServiceError, match="non-decreasing"):
-            sched.admit(
-                StreamRequest(request_id="b", arrival_offset=50.0, graph=g)
-            )
+            ReservationService(scenario).run(reqs)
         with pytest.raises(ServiceError, match="non-negative"):
-            schedule_stream_naive(
-                scenario,
-                [
-                    StreamRequest(request_id="a", arrival_offset=100.0, graph=g),
-                    StreamRequest(request_id="b", arrival_offset=50.0, graph=g),
-                ],
-            )
-
-    def test_report_summary_fields(self):
-        scenario = _scenario()
-        report = StreamScheduler(scenario).run(_requests(5))
-        summary = report.summary()
-        assert summary["n_requests"] == 5
-        assert summary["admitted"] == 5
-        assert summary["rejected"] == 0
-        assert summary["scheduling_s"] > 0
-        assert summary["requests_per_s"] > 0
-        assert set(summary["latency_ms"]) == {"p50", "p99"}
-        assert np.isfinite(summary["mean_turnaround_s"])
-
-    def test_latency_percentiles_are_nearest_rank(self):
-        from repro.obs.slo import percentile_nearest_rank
-
-        scenario = _scenario()
-        report = StreamScheduler(scenario).run(_requests(7))
-        lat = [o.latency_s for o in report.outcomes]
-        got = report.latency_percentiles((50.0, 95.0, 99.0))
-        for key, q in (("p50", 50.0), ("p95", 95.0), ("p99", 99.0)):
-            assert got[key] == percentile_nearest_rank(lat, q) * 1e3
-            # Nearest rank selects, never interpolates.
-            assert got[key] / 1e3 in lat
+            schedule_stream_naive(scenario, reqs)
 
 
 class TestAdmissionControl:
     def test_zero_window_rejects_requests_that_must_wait(self):
         scenario = _scenario()
         reqs = _requests(6)
-        sched = StreamScheduler(scenario, admission_window=0.0)
-        report = sched.run(reqs)
+        service = _windowed(scenario, 0.0)
+        report = service.run(reqs)
         assert report.n_requests == 6
         assert report.n_admitted + report.n_rejected == 6
         assert report.n_rejected > 0
         # Rejections must leave the shared calendar untouched: only
         # admitted requests' tasks are booked.
-        booked = len(sched.calendar.reservations)
+        booked = len(service.calendar.reservations)
         expected = len(scenario.reservations) + sum(
             o.request.graph.n for o in report.outcomes if o.admitted
         )
@@ -177,19 +167,16 @@ class TestAdmissionControl:
 
     def test_infinite_window_equals_no_window_bitwise(self):
         reqs = _requests(5)
-        plain = StreamScheduler(_scenario()).run(reqs)
-        windowed = StreamScheduler(
-            _scenario(), admission_window=float("inf")
-        ).run(reqs)
+        plain = ReservationService(_scenario()).run(reqs)
+        windowed = _windowed(_scenario(), float("inf")).run(reqs)
         assert windowed.n_rejected == 0
-        for a, b in zip(plain.schedules, windowed.schedules):
-            assert _sig(a) == _sig(b)
+        assert [_sig(s) for s in windowed.schedules] == [
+            _sig(s) for s in plain.schedules
+        ]
 
     def test_rejected_outcome_keeps_tentative_schedule(self):
-        scenario = _scenario()
-        report = StreamScheduler(scenario, admission_window=0.0).run(
-            _requests(4)
-        )
+        report = _windowed(_scenario(), 0.0).run(_requests(4))
+        assert report.n_rejected > 0
         for outcome in report.outcomes:
             if not outcome.admitted:
                 # The tentative plan is retained for diagnostics even
@@ -200,44 +187,26 @@ class TestAdmissionControl:
 
     def test_negative_window_rejected(self):
         with pytest.raises(ServiceError, match="admission_window"):
-            StreamScheduler(_scenario(), admission_window=-5.0)
+            ServiceConfig(admission_window=-5.0)
 
     def test_fully_blocked_platform_rejects_whole_stream(self):
         """Zero-width window on a fully booked platform: every request
         must wait, so every request is rejected and nothing books."""
-        blocked = ReservationScenario(
-            name="blocked",
-            capacity=8,
-            now=0.0,
-            reservations=(
-                Reservation(start=0.0, end=50_000.0, nprocs=8, label="block"),
-            ),
-            hist_avg_available=4,
-        )
-        sched = StreamScheduler(blocked, admission_window=0.0)
-        report = sched.run(_requests(5))
+        service = _windowed(_blocked(), 0.0)
+        report = service.run(_requests(5))
         assert report.n_rejected == 5 and report.n_admitted == 0
         assert report.schedules == []
-        assert len(sched.calendar.reservations) == 1
+        assert len(service.calendar.reservations) == 1
 
     def test_rejections_leave_generation_unchanged(self):
         """A rejected request plans against a throwaway copy: the shared
         calendar's commit generation must not move (stale CAS tokens
         would otherwise conflict on rejected work)."""
-        blocked = ReservationScenario(
-            name="blocked",
-            capacity=8,
-            now=0.0,
-            reservations=(
-                Reservation(start=0.0, end=50_000.0, nprocs=8, label="block"),
-            ),
-            hist_avg_available=4,
-        )
-        sched = StreamScheduler(blocked, admission_window=0.0)
-        gen0 = sched.calendar.generation
-        report = sched.run(_requests(4))
+        service = _windowed(_blocked(), 0.0)
+        gen0 = service.calendar.generation
+        report = service.run(_requests(4))
         assert report.n_rejected == 4
-        assert sched.calendar.generation == gen0
+        assert service.calendar.generation == gen0
 
     def test_stream_counters_in_valid_run_report(self):
         """The stream.* counter family must round-trip the obs schema."""
@@ -246,12 +215,12 @@ class TestAdmissionControl:
         scenario = _scenario()
         reqs = _requests(6)
         _, report = run_instrumented(
-            "stream", lambda: StreamScheduler(scenario).run(reqs)
+            "service", lambda: ReservationService(scenario).run(reqs)
         )
         doc = json.loads(report.to_json())  # to_json validates
         obs.validate_run_report(doc)
         counters = doc["counters"]
-        assert counters["stream.requests"] == 6
+        assert counters["service.requests"] == 6
         assert counters["stream.events"] == sum(r.graph.n for r in reqs)
         assert counters["stream.memo.miss"] >= 1
 
@@ -365,5 +334,5 @@ class TestRequestStreamLoader:
         specs = load_request_stream(DATA / "stream_requests.csv")
         graphs = [random_task_graph(DagGenParams(n=5), make_rng(3))]
         reqs = requests_from_specs(specs, graphs)
-        report = StreamScheduler(_scenario()).run(reqs)
+        report = ReservationService(_scenario()).run(reqs)
         assert report.n_requests == len(specs)

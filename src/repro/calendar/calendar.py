@@ -12,6 +12,10 @@ questions every scheduler in this library asks:
   only the processor counts that can still win;
 * :meth:`latest_start` — last instant such that the window still finishes
   by ``latest_finish`` (backward RESSCHEDDL scheduling);
+* :meth:`latest_placement` / :meth:`fewest_placement` — RESSCHEDDL's
+  aggressive and resource-conservative per-task decisions (the pair with
+  the latest start, or with the fewest processors, that still finishes
+  by the task's deadline), again resolving only the counts that can win;
 * :meth:`average_available` — time-weighted mean availability over an
   interval, used for the paper's "historical average number of available
   processors" P'.
@@ -36,6 +40,7 @@ schedule back to the commit that caused it.
 
 from __future__ import annotations
 
+import math
 import os
 from typing import Iterable, Sequence
 
@@ -89,19 +94,17 @@ CompletionOrder = tuple[list[int], list[float], list[float]]
 
 
 def checked_durations(
-    durations: Sequence[float] | np.ndarray, capacity: int, m_offset: int = 0
+    durations: Sequence[float] | np.ndarray, capacity: int
 ) -> np.ndarray:
     """``durations`` as a float array of one positive duration per
-    processor count ``m_offset + 1, m_offset + 2, ...``, the largest no
-    more than ``capacity``."""
+    processor count ``1, 2, ...``, the largest no more than
+    ``capacity``."""
     d = np.asarray(durations, dtype=float)
     if d.ndim != 1 or d.size == 0:
         raise CalendarError("durations must be a non-empty 1-D array")
-    if m_offset < 0:
-        raise CalendarError(f"m_offset must be >= 0, got {m_offset}")
-    if m_offset + d.size > capacity:
+    if d.size > capacity:
         raise CalendarError(
-            f"durations imply up to {m_offset + d.size} processors but "
+            f"durations imply up to {d.size} processors but "
             f"capacity is {capacity}"
         )
     if not d.min() > 0:
@@ -550,42 +553,37 @@ class ResourceCalendar:
         self,
         earliest: float,
         durations: Sequence[float] | np.ndarray,
-        *,
-        m_offset: int = 0,
     ) -> np.ndarray:
-        """Vectorized :meth:`earliest_start` over a range of processor
-        counts.
+        """Vectorized :meth:`earliest_start` over processor counts 1..b.
 
-        ``durations[j]`` is the duration needed when using
-        ``m_offset + j + 1`` processors (the moldable-task case: one
-        execution-time vector per task).  Returns the earliest feasible
-        start for each count, in one sweep over the availability profile —
-        the schedulers' hot path.  ``m_offset`` lets callers searching for
-        the *fewest* feasible processors escalate through count windows
-        instead of paying for the full 1..p sweep.
+        ``durations[j]`` is the duration needed when using ``j + 1``
+        processors (the moldable-task case: one execution-time vector per
+        task).  Returns the earliest feasible start for each count, in
+        one sweep over the availability profile.  (The single-cluster
+        schedulers ask :meth:`earliest_completion` and
+        :meth:`fewest_placement` instead, which resolve only the counts
+        that can still win.)
 
         Args:
             earliest: No window may start before this instant.
-            durations: Positive durations, one per processor count;
-                ``m_offset + len(durations)`` must not exceed capacity.
-            m_offset: The count for ``durations[0]`` is ``m_offset + 1``.
+            durations: Positive durations, one per processor count; no
+                more of them than the capacity.
 
         Returns:
             Array ``starts`` with ``starts[j]`` the earliest start for
-            ``m_offset + j + 1`` processors.
+            ``j + 1`` processors.
         """
         if _obs.ENABLED:
             with _obs.span("calendar.query.earliest_multi"):
-                return self._earliest_starts_multi(earliest, durations, m_offset)
-        return self._earliest_starts_multi(earliest, durations, m_offset)
+                return self._earliest_starts_multi(earliest, durations)
+        return self._earliest_starts_multi(earliest, durations)
 
     def _earliest_starts_multi(
         self,
         earliest: float,
         durations: Sequence[float] | np.ndarray,
-        m_offset: int,
     ) -> np.ndarray:
-        d = checked_durations(durations, self._capacity, m_offset)
+        d = checked_durations(durations, self._capacity)
         prof = self.availability()
         if prof.times.size >= INDEX_MIN_SEGMENTS:
             # Dense profile: one O(log S) indexed probe per processor
@@ -598,7 +596,7 @@ class ResourceCalendar:
             jq = int(np.searchsorted(prof.times, earliest, side="right"))
             result = np.empty(d.size)
             for k, dur in enumerate(d.tolist()):
-                s = idx.earliest_start(jq, earliest, dur, m_offset + k + 1)
+                s = idx.earliest_start(jq, earliest, dur, k + 1)
                 if s is None:
                     raise CalendarError(
                         "availability profile ended before all requests "
@@ -607,7 +605,7 @@ class ResourceCalendar:
                 result[k] = s
             return result
 
-        m = np.arange(m_offset + 1, m_offset + d.size + 1)
+        m = np.arange(1, d.size + 1)
 
         # One 2-D sweep instead of a segment-by-segment walk: for every
         # count, compute the maximal free runs (consecutive segments with
@@ -651,7 +649,7 @@ class ResourceCalendar:
         requests: "Sequence[tuple[float, Sequence[float] | np.ndarray]]",
     ) -> list[np.ndarray]:
         """:meth:`earliest_starts_multi` for each ``(earliest, durations)``
-        request (``m_offset`` fixed at 0), in request order.
+        request, in request order.
 
         The same queries as issuing the per-call probes one by one.
         (The schedulers place tasks with :meth:`earliest_completion`
@@ -901,6 +899,186 @@ class ResourceCalendar:
                 return lb, lb + dur, False
             w *= 8
 
+    def fewest_placement(
+        self,
+        earliest: float,
+        latest_finish: float,
+        durations: Sequence[float] | np.ndarray,
+        *,
+        probed: list[ProbedCount] | None = None,
+    ) -> tuple[float, int] | None:
+        """The fewest-processor ``(start, nprocs)`` pair whose earliest
+        start still finishes by ``latest_finish`` — RESSCHEDDL's
+        resource-conservative per-task decision.
+
+        ``durations[j]`` is the duration on ``j + 1`` processors.  The
+        answer is bitwise-equal to the first count, in ascending order,
+        whose ``start = earliest_starts_multi(earliest, durations)[j]``
+        passes ``start + d <= latest_finish`` and ``start + d > start``
+        (the window ends in time and does not vanish), without computing
+        the other counts' starts:
+
+        * a count whose bound ``earliest + d`` is already past
+          ``latest_finish`` is ruled out without a walk — no start
+          precedes ``earliest`` and rounded float addition is monotone;
+        * every other count walks the free runs forward from
+          ``earliest`` and stops at the first run it fits in, or at the
+          first candidate whose finish passes ``latest_finish``:
+          candidates only grow along the walk, so the count cannot
+          finish in time.
+
+        Args:
+            earliest: No window may start before this instant.
+            latest_finish: Every window must end by this instant.
+            durations: Positive durations, one per processor count, no
+                more of them than the capacity.
+            probed: When a list, receives one :data:`ProbedCount` per
+                count tried, up to the winner (decision provenance).
+
+        Returns:
+            ``(start, nprocs)``, or None when no count finishes in time.
+        """
+        d = checked_durations(durations, self._capacity)
+        e, lim = float(earliest), float(latest_finish)
+        prof = self.availability()
+        times, values = prof.times, prof.values
+        # The walk window as plain lists: vals[p] processors are free on
+        # [bnds[p], bnds[p + 1]); p = 0 is the segment holding `e`, the
+        # last one holds `lim`, and bnds[n] lies past `lim`.
+        j0 = int(times.searchsorted(e, side="right"))
+        jl = max(j0, int(times.searchsorted(lim, side="right")))
+        if j0:
+            vals = values[j0 - 1 : jl].tolist()
+            bnds = times[j0 - 1 : jl + 1].tolist()
+        else:
+            vals = [prof.base] + values[:jl].tolist()
+            bnds = [-np.inf] + times[: jl + 1].tolist()
+        n = len(vals)
+        if len(bnds) == n:
+            bnds.append(np.inf)  # the window reaches the all-free tail
+        lows = (e + d).tolist()
+        durs = d.tolist()
+        for k, dur in enumerate(durs):
+            m = k + 1
+            if lows[k] > lim:
+                if probed is not None:
+                    probed.append((m, e, lows[k], False))
+                continue
+            fits = False
+            p = 0
+            while True:
+                while p < n and vals[p] < m:
+                    p += 1
+                # Past the window, the next run starts after `lim`.
+                cand = e if p == 0 else bnds[min(p, n)]
+                fin = cand + dur
+                if p >= n or fin > lim:
+                    break
+                q = p
+                while True:
+                    if fin <= bnds[q + 1]:
+                        fits = True
+                        break
+                    q += 1
+                    if q == n or vals[q] < m:
+                        break
+                if fits:
+                    break
+                p = q + 1
+            if probed is not None:
+                probed.append((m, cand, fin, fits))
+            if fits and fin <= lim and fin > cand:
+                return cand, m
+        return None
+
+    def latest_placement(
+        self,
+        latest_finish: float,
+        durations: Sequence[float] | np.ndarray,
+        *,
+        earliest: float,
+        probed: list[ProbedCount] | None = None,
+    ) -> tuple[float, int] | None:
+        """The ``(start, nprocs)`` pair with the latest start that
+        finishes by ``latest_finish`` — RESSCHEDDL's aggressive per-task
+        decision.
+
+        ``durations[j]`` is the duration on ``j + 1`` processors.  The
+        answer is bitwise-equal to the ``nanargmax`` (ties to the fewest
+        processors) of ``latest_starts_multi(latest_finish, durations,
+        earliest=earliest)`` once starts whose window vanishes
+        (``start + d <= start``) are masked out, and None when nothing is
+        left.  It runs that method's backward segment sweep, with the
+        same ``candidate finish − d`` arithmetic, but stops early:
+
+        * a count whose candidate start falls below ``earliest`` drops
+          out — candidates only shrink along the sweep;
+        * the sweep stops at the first segment where some count fits
+          with a start at or after ``earliest`` that does not vanish.
+          Those counts start at or after the segment's lower bound
+          ``lo``.  A count with enough processors there that did not
+          fit has a candidate start below ``lo``; one without enough
+          now has candidate finish ``lo``, so it can start at most at
+          ``lo − d <= lo``, and it has more processors than every count
+          that fits.  So the best start of that segment is the answer.
+
+        Args:
+            latest_finish: Every window must end by this instant.
+            durations: Positive durations, one per processor count, no
+                more of them than the capacity.
+            earliest: No window may start before this instant.
+            probed: When a list, receives one :data:`ProbedCount` per
+                processor count (decision provenance): exact entries carry
+                the count's latest start, the others an upper bound on it.
+
+        Returns:
+            ``(start, nprocs)``, or None when no count fits.
+        """
+        d = checked_durations(durations, self._capacity)
+        lf, e = float(latest_finish), float(earliest)
+        prof = self.availability()
+        times, values = prof.times, prof.values
+        b = d.size
+        cand = np.full(b, lf)  # candidate finish per count
+        live = np.ones(b, dtype=bool)
+        fitted = np.zeros(b, dtype=bool)
+        found: tuple[float, int] | None = None
+        # Segment holding instants just before latest_finish.
+        j = int(times.searchsorted(lf, side="left")) - 1
+        while True:
+            if j >= 0:
+                lo, v = float(times[j]), float(values[j])
+            else:
+                lo, v = -np.inf, prof.base
+            # Counts 1..nv have enough processors free on this segment.
+            nv = min(b, max(0, math.floor(v)))
+            if nv:
+                s = cand[:nv] - d[:nv]
+                fit = live[:nv] & (s >= lo)
+                if np.count_nonzero(fit):
+                    fitted[:nv] |= fit
+                    live[:nv] &= ~fit
+                    good = fit & (s >= e) & ~(s + d[:nv] <= s)
+                    if np.count_nonzero(good):
+                        k = int(np.flatnonzero(good)[s[good].argmax()])
+                        found = (float(s[k]), k + 1)
+                # A start below `earliest` only gets earlier from here.
+                live[:nv] &= ~(s < e)
+            if nv < b:
+                # The window must now end where this segment begins.
+                np.putmask(cand[nv:], live[nv:], lo)
+                live[nv:] &= ~(lo - d[nv:] < e)
+            if found is not None or j < 0 or not np.count_nonzero(live):
+                break
+            j -= 1
+        if probed is not None:
+            starts = (cand - d).tolist()
+            ends = ((cand - d) + d).tolist()
+            probed.extend(
+                (k + 1, starts[k], ends[k], bool(fitted[k])) for k in range(b)
+            )
+        return found
+
     def latest_starts_multi(
         self,
         latest_finish: float,
@@ -912,7 +1090,9 @@ class ResourceCalendar:
 
         Returns, for each processor count ``j + 1``, the latest start
         ``s >= earliest`` with ``s + durations[j] <= latest_finish`` and the
-        processors free throughout — or NaN when infeasible.
+        processors free throughout — or NaN when infeasible.  (RESSCHEDDL
+        asks :meth:`latest_placement` instead, which stops at the first
+        segment that decides the best start.)
         """
         if _obs.ENABLED:
             with _obs.span("calendar.query.latest_multi"):

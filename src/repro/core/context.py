@@ -3,9 +3,10 @@
 Every algorithm in :mod:`repro.core` needs some subset of: the platform
 size ``p``, the historical average availability P' rounded to a usable
 processor count ``q``, CPA allocations computed for ``p`` and for ``q``,
-and per-task execution-time tables ``T_i(m)``.  A :class:`ProblemContext`
-computes each of these lazily and exactly once, so that e.g. comparing
-all twelve RESSCHED variants on one instance shares the CPA runs.
+per-task execution-time tables ``T_i(m)``, and the compiled calendar of
+the competing reservations.  A :class:`ProblemContext` computes each of
+these lazily and exactly once, so that e.g. comparing all twelve
+RESSCHED variants on one instance shares the CPA runs.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
+from repro.calendar import ResourceCalendar
 from repro.cpa import CpaAllocation, cpa_allocation, icaslb_allocation
 from repro.dag import TaskGraph
 from repro.errors import GenerationError
@@ -80,6 +82,13 @@ class ProblemContext:
         """iCASLB allocations for ``q = P'`` (extension: the paper's
         future-work alternative to CPA as the allocation basis)."""
         return icaslb_allocation(self.graph, self.q)
+
+    @cached_property
+    def base_calendar(self) -> ResourceCalendar:
+        """The scenario's calendar, compiled on first use.  Never booked
+        into: each backward pass books into an O(1)
+        :meth:`~repro.calendar.ResourceCalendar.copy` of it."""
+        return self.scenario.calendar()
 
     @cached_property
     def exec_tables(self) -> list[np.ndarray]:

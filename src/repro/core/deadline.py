@@ -28,11 +28,11 @@ successors)`` and may not start before "now".
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
+from repro.calendar import ProbedCount
 from repro.core.bottom_levels import bl_priority_order
 from repro.core.bounds import allocation_bounds
 from repro.core.context import ProblemContext
@@ -127,25 +127,45 @@ def _successor_deadline(
     return dl
 
 
-def _pick_latest(
-    cal, durations: np.ndarray, dl_i: float, now: float
-) -> tuple[int, float, np.ndarray] | None:
-    """Aggressive rule: the <count, start> pair with the latest start.
+def _candidates(
+    probed: "Sequence[ProbedCount]",
+    m: int,
+    start: float,
+    earliest: float,
+    latest: bool,
+) -> list[dict]:
+    """Why each probed count lost (or won) one backward decision.
 
-    Returns ``(m, start, starts)`` — the winning pair plus the full
-    per-count latest-start array (NaN = infeasible; provenance records
-    read the losers off it) — or None when no count fits before ``dl_i``.
-    Ties go to fewer processors (``nanargmax`` returns the first max).
-    A count whose duration vanishes in its start's rounding
-    (``start + d == start``) has no bookable window and counts as
-    infeasible.
+    ``probed`` comes from :meth:`ResourceCalendar.latest_placement`
+    (``latest``) or :meth:`ResourceCalendar.fewest_placement`.  A
+    ``pruned_bound`` count was ruled out without resolving its start:
+    the latest-start kernel records the upper bound on its start, the
+    fewest-processor kernel the lower bound on its finish that passed
+    the deadline.  Counts whose start was resolved lost because their
+    window vanishes (``finish <= start``), starts before the task's
+    earliest start, starts earlier than the chosen one, or ties it with
+    more processors.  JSON-ready (plain Python scalars only).
     """
-    starts = cal.latest_starts_multi(dl_i, durations, earliest=now)
-    starts[starts + durations <= starts] = np.nan
-    if np.isnan(starts).all():
-        return None
-    j = int(np.nanargmax(starts))
-    return j + 1, float(starts[j]), starts
+    out = []
+    for k, k_start, k_finish, exact in probed:
+        entry: dict = {"m": k}
+        if k == m:
+            entry.update(start=start, finish=k_finish, reason="chosen")
+        elif not exact:
+            if latest:
+                entry.update(start=k_start, reason="pruned_bound")
+            else:
+                entry.update(finish=k_finish, reason="pruned_bound")
+        else:
+            if not k_finish > k_start:
+                reason = "vanishes"
+            elif k_start < earliest:
+                reason = "before_earliest"
+            else:
+                reason = "earlier_start" if k_start < start else "tie_more_procs"
+            entry.update(start=k_start, finish=k_finish, reason=reason)
+        out.append(entry)
+    return out
 
 
 def _schedule_backward(
@@ -164,7 +184,7 @@ def _schedule_backward(
     # Increasing bottom level: every successor is scheduled before its
     # predecessors (reverse of the forward priority order).
     order = list(reversed(bl_priority_order(ctx, "BL_CPAR")))
-    cal = scenario.calendar()
+    cal = ctx.base_calendar.copy()
     placements: list[TaskPlacement | None] = [None] * graph.n
 
     if spec.kind == "aggressive":
@@ -184,10 +204,11 @@ def _schedule_backward(
     for i in order:
         dl_i = _successor_deadline(graph, i, deadline, placements)
         earliest_i = now if ready_floors is None else max(now, float(ready_floors[i]))
-        chosen: tuple[int, float] | None = None
+        chosen: tuple[float, int] | None = None
         rule = "aggressive"
         s_i = threshold = None
-        rc_probes: list[dict] | None = None
+        probed: list[ProbedCount] | None = [] if prov is not None else None
+        rc_probed: list[ProbedCount] | None = None
 
         if spec.kind != "aggressive":
             assert guideline_alloc is not None
@@ -209,81 +230,68 @@ def _schedule_backward(
             s_i = guide.start_of(old_to_new[i])
             threshold = s_i + lam * (dl_i - s_i)
 
-            # Fewest-processors search, escalating through count windows:
-            # the conservative choice is usually a small count, so most
-            # decisions cost one narrow query instead of a 1..p sweep.
-            durations = ctx.exec_tables[i]
-            chunk = 16
-            for base in range(0, len(durations), chunk):
-                d = durations[base : base + chunk]
-                starts = cal.earliest_starts_multi(
-                    max(earliest_i, threshold), d, m_offset=base
-                )
-                fin = starts + d
-                # A window must also end after it starts to be bookable.
-                ok = (fin <= dl_i + TIME_EPS) & (fin > starts)
-                if prov is not None:
-                    _obs.incr("deadline.probe_windows")
-                    _obs.incr("deadline.placement_probes", int(d.size))
-                    rc_probes = rc_probes or []
-                    rc_probes.extend(
-                        {
-                            "m": base + k + 1,
-                            "start": float(starts[k]),
-                            "feasible": bool(ok[k]),
-                        }
-                        for k in range(int(d.size))
-                    )
-                if ok.any():
-                    j = int(np.argmax(ok))  # first feasible = fewest procs
-                    chosen = (base + j + 1, float(starts[j]))
-                    rule = "rc_window"
-                    break
-            if chosen is None:
+            # The fewest processors whose earliest start after the
+            # threshold still finishes by dl_i.
+            chosen = cal.fewest_placement(
+                max(earliest_i, threshold),
+                dl_i + TIME_EPS,
+                ctx.exec_tables[i],
+                probed=probed,
+            )
+            if chosen is not None:
+                rule = "rc_window"
+            else:
                 rule = "rc_fallback"
+                if prov is not None:
+                    _obs.incr("deadline.fallback_aggressive")
+                    rc_probed, probed = probed, []
 
         if chosen is None:
             # Aggressive rule — either the algorithm is aggressive, or the
             # resource-conservative choice found nothing after the
             # guideline threshold.
-            if prov is not None and rule == "rc_fallback":
-                _obs.incr("deadline.fallback_aggressive")
             b = int(bounds[i])
-            picked = _pick_latest(cal, ctx.exec_tables[i][:b], dl_i, earliest_i)
-            if picked is None:
-                if prov is not None:
-                    _obs.incr("deadline.infeasible_tasks")
-                return None
-            m_pick, start_pick, agg_starts = picked
-            chosen = (m_pick, start_pick)
+            chosen = cal.latest_placement(
+                dl_i, ctx.exec_tables[i][:b], earliest=earliest_i, probed=probed
+            )
+        if prov is not None:
+            assert probed is not None
+            _obs.incr(
+                "deadline.placement_probes",
+                sum(p[3] for p in probed + (rc_probed or [])),
+            )
+        if chosen is None:
             if prov is not None:
-                _obs.incr("deadline.placement_probes", int(agg_starts.size))
-                rc_probes = (rc_probes or []) + [
-                    {
-                        "m": k + 1,
-                        "start": float(agg_starts[k]),
-                        "feasible": bool(np.isfinite(agg_starts[k])),
-                    }
-                    for k in range(int(agg_starts.size))
-                ]
+                _obs.incr("deadline.infeasible_tasks")
+            return None
 
-        m, start = chosen
+        start, m = chosen
         dur = ctx.exec_time(i, m)
         if prov is not None:
+            assert probed is not None
             rec = {
                 "task": int(i),
                 "name": graph.task(i).name,
                 "algorithm": spec.name,
                 "rule": rule,
                 "deadline": float(dl_i),
+                "earliest": float(earliest_i),
                 "lam": float(lam),
                 "chosen": {"m": int(m), "start": float(start),
                            "finish": float(start + dur)},
-                "candidates": rc_probes or [],
+                "candidates": _candidates(
+                    probed, m, start, earliest_i, latest=rule != "rc_window"
+                ),
             }
             if s_i is not None:
                 rec["guideline_start"] = float(s_i)
                 rec["threshold"] = float(threshold)
+            if rc_probed is not None:
+                # Every count the resource-conservative rule ruled out
+                # before falling back.
+                rec["rc_candidates"] = _candidates(
+                    rc_probed, 0, start, earliest_i, latest=False
+                )
             _obs.decision(rec)
             prov.append(rec)
         # Placements come from this calendar's own latest/earliest
@@ -345,6 +353,8 @@ def schedule_deadline(
                 f"unknown deadline algorithm {algorithm!r}; expected one of "
                 f"{sorted(DEADLINE_ALGORITHMS)}"
             ) from None
+    if not math.isfinite(deadline):
+        raise GenerationError(f"deadline must be finite, got {deadline!r}")
     ctx = context or ProblemContext(graph, scenario, cpa_stopping=cpa_stopping)
     if ctx.graph is not graph or ctx.scenario is not scenario:
         raise GenerationError(

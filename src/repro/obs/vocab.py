@@ -75,7 +75,6 @@ COUNTERS: frozenset[str] = frozenset(
         "deadline.guideline_remaps",
         "deadline.infeasible_tasks",
         "deadline.placement_probes",
-        "deadline.probe_windows",
         # -- sweep harness ------------------------------------------------
         "harness.chunk_retries",
         "harness.quarantined",

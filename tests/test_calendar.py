@@ -245,18 +245,6 @@ class TestMultiQueriesMatchScalar:
             else:
                 assert multi[m - 1] == pytest.approx(scalar), f"m={m}"
 
-    @given(cal=random_calendar(), earliest=st.floats(0.0, 600.0))
-    @settings(max_examples=100, deadline=None)
-    def test_m_offset_windows_agree(self, cal, earliest):
-        b = cal.capacity
-        durations = np.array([50.0 / m for m in range(1, b + 1)])
-        full = cal.earliest_starts_multi(earliest, durations)
-        for base in range(0, b, 3):
-            window = cal.earliest_starts_multi(
-                earliest, durations[base : base + 3], m_offset=base
-            )
-            assert np.allclose(window, full[base : base + 3])
-
     @given(
         cal=random_calendar(),
         earliest=st.floats(0.0, 600.0),

@@ -126,6 +126,18 @@ class TestInfoScheduleDeadline:
         assert rc == 0
         assert "met" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("hours", ["nan", "inf"])
+    def test_non_finite_deadline_is_an_error(self, dag_file, capsys, hours):
+        rc = main(
+            ["deadline", "--dag", dag_file, "--preset", "OSC_Cluster",
+             "--seed", "5", "--deadline-hours", hours,
+             "--algorithm", "DL_BD_CPA"]
+        )
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "verdict" not in captured.out
+        assert f"error: deadline must be finite, got {hours}" in captured.err
+
     def test_deadline_missed_exit_code(self, dag_file, capsys):
         rc = main(
             ["deadline", "--dag", dag_file, "--preset", "OSC_Cluster",

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.calendar import Reservation, ResourceCalendar
 from repro.core import (
     DEADLINE_ALGORITHMS,
@@ -14,6 +15,7 @@ from repro.core import (
     ResSchedAlgorithm,
     schedule_deadline,
     schedule_ressched,
+    tightest_deadline,
 )
 from repro.dag import DagGenParams, random_task_graph
 from repro.errors import GenerationError
@@ -263,3 +265,118 @@ class TestDeadlineProperties:
                     graph, sc, k * factor, "DL_BD_CPA"
                 )
                 assert later.feasible
+
+
+class TestDeadlineValidation:
+    @pytest.mark.parametrize("alg", ALG_NAMES)
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_deadline_rejected(
+        self, medium_graph, osc_scenario, alg, bad
+    ):
+        with pytest.raises(GenerationError, match=f"got {bad!r}"):
+            schedule_deadline(medium_graph, osc_scenario, bad, alg)
+
+
+def _instances():
+    """A few (graph, scenario, deadline) triples: a loose and a tight
+    deadline on a busy platform, and a λ-sweeping hybrid's range."""
+    out = []
+    for seed in (3, 8):
+        rng = make_rng(seed)
+        graph = random_task_graph(DagGenParams(n=12), rng)
+        capacity = 16
+        cal = ResourceCalendar(capacity)
+        reservations = []
+        for _ in range(25):
+            start = float(np.round(rng.uniform(0, 40_000)))
+            dur = float(np.round(rng.uniform(600, 6_000)))
+            procs = int(rng.integers(1, capacity + 1))
+            if cal.min_available(start, start + dur) >= procs:
+                reservations.append(cal.reserve(start, dur, procs))
+        sc = _scenario(capacity=capacity, hist=10.0, reservations=reservations)
+        base = schedule_ressched(graph, sc)
+        for factor in (1.05, 2.0):
+            out.append((graph, sc, sc.now + factor * base.turnaround))
+    return out
+
+
+class TestBackwardKernels:
+    @pytest.mark.parametrize("alg", ALG_NAMES)
+    def test_obs_on_equals_obs_off(self, alg, monkeypatch):
+        resolved = [0]
+
+        def tallying(kernel):
+            def wrapper(self, *args, probed=None, **kwargs):
+                mine: list = []
+                found = kernel(self, *args, probed=mine, **kwargs)
+                resolved[0] += sum(p[3] for p in mine)
+                if probed is not None:
+                    probed.extend(mine)
+                return found
+
+            return wrapper
+
+        for graph, sc, deadline in _instances():
+            plain = schedule_deadline(graph, sc, deadline, alg)
+            for name in ("fewest_placement", "latest_placement"):
+                monkeypatch.setattr(
+                    ResourceCalendar, name,
+                    tallying(getattr(ResourceCalendar, name)),
+                )
+            resolved[0] = 0
+            with obs.instrumented() as col:
+                traced = schedule_deadline(graph, sc, deadline, alg)
+            monkeypatch.undo()
+            assert traced.feasible == plain.feasible
+            assert traced.lam == plain.lam
+            assert traced.schedule == plain.schedule
+            # The counter holds exactly the starts the kernels resolved.
+            assert col.counters.get("deadline.placement_probes", 0) == resolved[0]
+            assert resolved[0] > 0
+
+    @pytest.mark.parametrize("alg", ALG_NAMES)
+    def test_records_name_the_chosen_count_once(self, alg):
+        for graph, sc, deadline in _instances():
+            with obs.instrumented():
+                res = schedule_deadline(graph, sc, deadline, alg)
+            if not res.feasible:
+                continue
+            for rec in res.schedule.provenance:
+                placement = res.schedule.placements[rec["task"]]
+                chosen = [c for c in rec["candidates"] if c["reason"] == "chosen"]
+                assert len(chosen) == 1
+                assert chosen[0]["m"] == placement.nprocs
+                assert chosen[0]["start"] == placement.start
+                for c in rec["candidates"] + rec.get("rc_candidates", []):
+                    if c["reason"] != "pruned_bound":
+                        continue
+                    if rec["rule"] == "rc_window" or c in rec.get(
+                        "rc_candidates", []
+                    ):
+                        # A finish bound that already missed the deadline.
+                        assert "start" not in c
+                        assert c["finish"] > rec["deadline"]
+                    else:
+                        # A start bound that cannot beat the chosen start.
+                        assert "finish" not in c
+                        assert c["start"] <= placement.start
+
+    def test_one_calendar_build_per_context(
+        self, medium_graph, osc_scenario, monkeypatch
+    ):
+        builds = []
+        init = ResourceCalendar.__init__
+
+        def counting(self, *args, **kwargs):
+            builds.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ResourceCalendar, "__init__", counting)
+        ctx = ProblemContext(medium_graph, osc_scenario)
+        assert builds == []  # compiled on the first backward pass
+        for alg in ("DL_BD_CPA", "DL_RC_CPAR", "DL_RCBD_CPAR-lambda"):
+            td = tightest_deadline(medium_graph, osc_scenario, alg, context=ctx)
+            assert td.evaluations > 1
+        assert builds == [1]
+        # Every pass booked into its own copy: the base is untouched.
+        assert len(ctx.base_calendar) == len(osc_scenario.reservations)

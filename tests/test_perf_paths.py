@@ -89,21 +89,6 @@ class TestScalarMultiEquivalence:
             scalar = cal.earliest_start(float(earliest), float(d[m - 1]), m)
             assert multi[m - 1] == scalar, f"count {m} diverges"
 
-    @settings(max_examples=60, deadline=None)
-    @given(
-        spec=reservation_lists,
-        earliest=st.integers(-10, 250),
-        d=durations_vec,
-        m_offset=st.integers(0, CAPACITY - 1),
-    )
-    def test_earliest_multi_with_offset(self, spec, earliest, d, m_offset):
-        cal = _calendar(spec)
-        d = d[: CAPACITY - m_offset]
-        multi = cal.earliest_starts_multi(float(earliest), d, m_offset=m_offset)
-        for j in range(d.size):
-            m = m_offset + j + 1
-            assert multi[j] == cal.earliest_start(float(earliest), float(d[j]), m)
-
     @settings(max_examples=150, deadline=None)
     @given(
         spec=reservation_lists,

@@ -30,7 +30,7 @@ from typing import Any
 SPEEDUP_FLOORS: dict[str, float] = {
     "calendar_commit": 1.0,
     "placement_query": 1.0,
-    "placement_query_indexed": 2.0,
+    "placement_query_dense": 2.0,
     "sweep_alloc_memo": 1.5,
     "cpa_allocation": 1.0,
     "table4_cell": 0.5,

@@ -1,19 +1,18 @@
 """Hot-path performance regression harness (``repro bench``).
 
-Times the hot paths the incremental/vectorized/indexed machinery
-optimizes — calendar commit, placement queries (vectorized multi sweeps
-and tree-indexed scalar probes on dense calendars), the sweep-level
+Times the hot paths the incremental and vectorized machinery
+optimizes — calendar commit, placement queries (the earliest-completion
+kernel, and scalar probes on dense calendars), the sweep-level
 allocation memo, CPA allocation, and one Table-4 experiment cell —
 against a **seed baseline**: the original
 implementations this repository shipped with before the optimization
-pass.  The baseline is reconstructed in-process by (a) raising the
-availability index's threshold above any profile size and (b)
-monkeypatching faithful re-implementations of the routines whose
-*algorithm* changed (the per-node NumPy-scalar level loops, the
-full-recompute CPA loop, the recompile-per-commit calendar adds and the
-segment-walking placement scans below, kept verbatim from the seed
-commit).  Both sides of every comparison are asserted to produce
-identical results before their timings are reported.
+pass.  The baseline is reconstructed in-process by monkeypatching
+faithful re-implementations of the routines whose *algorithm* changed
+(the per-node NumPy-scalar level loops, the full-recompute CPA loop,
+the recompile-per-commit calendar adds and the segment-walking
+placement scans below, kept verbatim from the seed commit).  Both sides
+of every comparison are asserted to produce identical results before
+their timings are reported.
 
 Timings use a warm-up pass plus min-of-N (the minimum is the standard
 noise-robust statistic for micro-benchmarks on a shared box); the
@@ -41,7 +40,6 @@ from typing import Any, Callable, Iterator
 
 import numpy as np
 
-import repro.calendar.calendar as _calmod
 import repro.cpa.allocation as _allocmod
 from repro.calendar import Reservation, ResourceCalendar
 from repro.errors import CalendarError
@@ -289,14 +287,10 @@ def seed_baseline() -> Iterator[None]:
 
     Swaps in the seed's commits (a full profile recompile and strict
     validation on every add), its per-node/segment-walking
-    implementations and its CPA loop, and turns the availability index
-    off (threshold above any profile size).  Everything is restored on
-    exit, even on error.
+    implementations and its CPA loop, and turns the allocation memo
+    off.  Everything is restored on exit, even on error.
     """
-    saved_flags = (
-        _calmod.INDEX_MIN_SEGMENTS,
-        _allocmod.MEMOIZE_ALLOCATIONS,
-    )
+    saved_memo = _allocmod.MEMOIZE_ALLOCATIONS
     saved_methods = (
         TaskGraph.bottom_levels,
         TaskGraph.top_levels,
@@ -308,7 +302,6 @@ def seed_baseline() -> Iterator[None]:
         ResourceCalendar.earliest_completion,
     )
     saved_loop = _allocmod._cpa_allocation
-    _calmod.INDEX_MIN_SEGMENTS = sys.maxsize
     _allocmod.MEMOIZE_ALLOCATIONS = False
     _allocmod.clear_memo()
     _allocmod._cpa_allocation = _seed_cpa_allocation
@@ -323,10 +316,7 @@ def seed_baseline() -> Iterator[None]:
     try:
         yield
     finally:
-        (
-            _calmod.INDEX_MIN_SEGMENTS,
-            _allocmod.MEMOIZE_ALLOCATIONS,
-        ) = saved_flags
+        _allocmod.MEMOIZE_ALLOCATIONS = saved_memo
         _allocmod._cpa_allocation = saved_loop
         (
             TaskGraph.bottom_levels,
@@ -420,10 +410,14 @@ def bench_calendar_commit(*, n_res: int, repeats: int) -> dict[str, Any]:
 
 
 def bench_placement_query(*, n_res: int, n_queries: int, repeats: int) -> dict[str, Any]:
-    """``earliest_starts_multi`` full-machine sweeps on a busy calendar.
+    """RESSCHED's per-task decision over every processor count of a busy
+    calendar.
 
-    Seed path walks the availability profile segment by segment with
-    Python-level bookkeeping; the current path is one 2-D NumPy sweep.
+    The seed path finds every count's earliest start by walking the
+    availability profile segment by segment with Python-level
+    bookkeeping, then takes the argmin of the completions; the current
+    path is :meth:`~repro.calendar.ResourceCalendar.earliest_completion`,
+    which resolves only the counts that can still win.
     """
     capacity = 64
     cal = ResourceCalendar(capacity)
@@ -439,41 +433,40 @@ def bench_placement_query(*, n_res: int, n_queries: int, repeats: int) -> dict[s
         for _ in range(n_queries)
     ]
 
-    def seed_path() -> list[np.ndarray]:
+    def seed_path() -> list[tuple[float, int]]:
         return [
-            _seed_earliest_starts_multi(cal, earliest, d)
+            _seed_earliest_completion(cal, earliest, d)
             for earliest, d in queries
         ]
 
-    def fast_path() -> list[np.ndarray]:
-        return [cal.earliest_starts_multi(earliest, d) for earliest, d in queries]
+    def fast_path() -> list[tuple[float, int]]:
+        return [cal.earliest_completion(earliest, d) for earliest, d in queries]
 
     seed_s, seed_res = _best_of(seed_path, repeats)
     fast_s, fast_res = _best_of(fast_path, repeats)
-    for a, b in zip(seed_res, fast_res):
-        if not np.array_equal(a, b):
-            raise AssertionError("placement-query paths disagree")
+    if seed_res != fast_res:
+        raise AssertionError("placement-query paths disagree")
     return {
         "n_reservations": n_res,
         "n_queries": n_queries,
         "seed_s": seed_s,
-        "vectorized_s": fast_s,
+        "kernel_s": fast_s,
         "speedup": seed_s / fast_s,
     }
 
 
-def bench_placement_query_indexed(
+def bench_placement_query_dense(
     *, n_res: int, n_queries: int, repeats: int
 ) -> dict[str, Any]:
     """Scalar placement probes on a *dense* calendar: seed segment walks
-    vs the :class:`~repro.calendar.index.AvailabilityIndex` tree walks.
+    vs the live ``earliest_start``/``latest_start``.
 
-    The seed answers ``earliest_start``/``latest_start`` by stepping the
-    availability profile one segment at a time in Python — O(S) per
-    probe, and every probed segment costs NumPy-scalar accessor calls.
-    The indexed path descends two flat segment trees, skipping whole
-    infeasible regions per descent.  The calendar here is static (built
-    once, queried many times), the regime the index is for.
+    The seed answers each probe by stepping the availability profile one
+    segment at a time in Python — O(S) per probe, and every probed
+    segment costs NumPy-scalar accessor calls.  The live queries find
+    the profile's free runs for the processor count in one vectorized
+    pass and pick the first (or last) run the window fits in.  The
+    calendar here is static: built once, queried many times.
     """
     capacity = 128
     horizon = n_res * 120.0
@@ -509,33 +502,26 @@ def bench_placement_query_indexed(
             )
         return out
 
-    def indexed_path() -> list[float | None]:
-        saved = _calmod.INDEX_MIN_SEGMENTS
-        _calmod.INDEX_MIN_SEGMENTS = 0
-        try:
-            out: list[float | None] = []
-            for earliest, d, m in queries:
-                out.append(cal.earliest_start(earliest, d, m))
-                out.append(
-                    cal.latest_start(
-                        earliest + horizon, d, m, earliest=earliest
-                    )
-                )
-            return out
-        finally:
-            _calmod.INDEX_MIN_SEGMENTS = saved
+    def live_path() -> list[float | None]:
+        out: list[float | None] = []
+        for earliest, d, m in queries:
+            out.append(cal.earliest_start(earliest, d, m))
+            out.append(
+                cal.latest_start(earliest + horizon, d, m, earliest=earliest)
+            )
+        return out
 
     seed_s, seed_res = _best_of(seed_path, repeats)
-    idx_s, idx_res = _best_of(indexed_path, repeats)
-    if seed_res != idx_res:
-        raise AssertionError("indexed placement-query paths disagree")
+    live_s, live_res = _best_of(live_path, repeats)
+    if seed_res != live_res:
+        raise AssertionError("dense placement-query paths disagree")
     return {
         "n_reservations": n_res,
         "n_segments": n_segments,
         "n_queries": n_queries,
         "seed_s": seed_s,
-        "indexed_s": idx_s,
-        "speedup": seed_s / idx_s,
+        "linear_s": live_s,
+        "speedup": seed_s / live_s,
     }
 
 
@@ -1013,7 +999,7 @@ def run_benchmarks(*, quick: bool = False) -> dict[str, Any]:
         sizes: dict[str, dict[str, int]] = {
             "calendar_commit": {"n_res": 120, "repeats": 2},
             "placement_query": {"n_res": 80, "n_queries": 20, "repeats": 2},
-            "placement_query_indexed": {
+            "placement_query_dense": {
                 "n_res": 400, "n_queries": 40, "repeats": 2,
             },
             "sweep_alloc_memo": {
@@ -1039,7 +1025,7 @@ def run_benchmarks(*, quick: bool = False) -> dict[str, Any]:
         sizes = {
             "calendar_commit": {"n_res": 400, "repeats": 3},
             "placement_query": {"n_res": 250, "n_queries": 40, "repeats": 3},
-            "placement_query_indexed": {
+            "placement_query_dense": {
                 "n_res": 3000, "n_queries": 150, "repeats": 3,
             },
             "sweep_alloc_memo": {
@@ -1070,12 +1056,12 @@ def run_benchmarks(*, quick: bool = False) -> dict[str, Any]:
           "seed_s", "incremental_s")
     report["placement_query"] = bench_placement_query(**sizes["placement_query"])
     _echo("placement_query", report["placement_query"],
-          "seed_s", "vectorized_s")
-    report["placement_query_indexed"] = bench_placement_query_indexed(
-        **sizes["placement_query_indexed"]
+          "seed_s", "kernel_s")
+    report["placement_query_dense"] = bench_placement_query_dense(
+        **sizes["placement_query_dense"]
     )
-    _echo("placement_query_indexed", report["placement_query_indexed"],
-          "seed_s", "indexed_s")
+    _echo("placement_query_dense", report["placement_query_dense"],
+          "seed_s", "linear_s")
     report["sweep_alloc_memo"] = bench_sweep_alloc_memo(
         **sizes["sweep_alloc_memo"]
     )

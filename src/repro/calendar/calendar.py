@@ -46,25 +46,11 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.calendar.index import AvailabilityIndex
 from repro.calendar.reservation import Reservation
 from repro.calendar.timeline import StepFunction
 from repro.errors import CalendarError
 from repro.obs import core as _obs
 from repro.units import TIME_EPS
-
-#: Profiles with at least this many breakpoints answer placement probes
-#: through the :class:`AvailabilityIndex` segment trees (O(log S) per
-#: probe); smaller ones use the linear NumPy scans — below it one
-#: vectorized pass beats building and walking trees.  Measured crossover
-#: on this codebase sits in the tens of thousands of segments for the
-#: commit-per-task scheduler pattern (each commit invalidates the index,
-#: so its O(S) rebuild competes with one O(S) vectorized scan); the
-#: threshold also bounds the linear multi-query sweep's O(S x B) scratch
-#: memory on very dense calendars.  Results are bitwise-identical either
-#: way: tests and benchmarks drop it to 0 to force the tree walks, or
-#: raise it above any profile size to force the linear reference.
-INDEX_MIN_SEGMENTS: int = 4096
 
 #: Segments the earliest-completion walk (:meth:`ResourceCalendar.
 #: earliest_completion`) copies into Python lists and walks per call.  A
@@ -154,9 +140,7 @@ class ResourceCalendar:
         self._reservations: list[Reservation] = []
         self._profile: StepFunction | None = None
         # Monotone commit generation: bumped on every profile mutation.
-        # The index is only valid for the generation it was built in.
         self._generation = 0
-        self._index: AvailabilityIndex | None = None
         for r in reservations:
             if r.nprocs > self._capacity:
                 raise CalendarError(
@@ -332,18 +316,12 @@ class ResourceCalendar:
         dup._clamp = self._clamp
         dup._reservations = list(self._reservations)
         dup._profile = self._profile
-        # Sharing the index is safe: it describes the profile both
-        # calendars currently share, and whichever calendar mutates first
-        # drops its own reference.
         dup._generation = self._generation
-        dup._index = self._index
         return dup
 
     def _invalidate_caches(self) -> None:
-        """Start a new commit generation: drop this calendar's index
-        (copies sharing it are unaffected)."""
+        """Start a new commit generation (copies are unaffected)."""
         self._generation += 1
-        self._index = None
         if _obs.ENABLED:
             _obs.incr("cache.calendar.invalidate")
 
@@ -399,25 +377,16 @@ class ResourceCalendar:
         return int(self.availability()(t))
 
     def min_available(self, t0: float, t1: float) -> int:
-        """Minimum free processors over ``[t0, t1)``."""
-        prof = self.availability()
-        if prof.times.size >= INDEX_MIN_SEGMENTS and t1 > t0:
-            if _obs.ENABLED:
-                _obs.incr("calendar.query.min.indexed")
-            i0 = prof.segment_index(t0)
-            i1 = int(np.searchsorted(prof.times, t1, side="left")) - 1
-            return int(self._availability_index().min_over(i0, i1, prof.base))
-        return int(prof.min_over(t0, t1))
+        """Minimum free processors over ``[t0, t1)``.
 
-    def _availability_index(self) -> AvailabilityIndex:
-        """The segment index over the current profile (built lazily once
-        per commit generation)."""
-        idx = self._index
-        if idx is None:
-            if _obs.ENABLED:
-                _obs.incr("cache.calendar.index_build")
-            idx = self._index = AvailabilityIndex(self.availability())
-        return idx
+        Raises:
+            CalendarError: unless ``t1 > t0``.
+        """
+        if not t1 > t0:
+            raise CalendarError(
+                f"min_available needs t1 > t0, got the window [{t0}, {t1})"
+            )
+        return int(self.availability().min_over(t0, t1))
 
     def average_available(self, t0: float, t1: float) -> float:
         """Time-weighted mean free processors over ``[t0, t1]``.
@@ -481,20 +450,6 @@ class ResourceCalendar:
         if _obs.ENABLED:
             _obs.incr("calendar.query.earliest")
         self._check_request(duration, nprocs)
-        prof = self.availability()
-        if prof.times.size >= INDEX_MIN_SEGMENTS:
-            if _obs.ENABLED:
-                _obs.incr("calendar.query.earliest.indexed")
-            jq = int(np.searchsorted(prof.times, earliest, side="right"))
-            s = self._availability_index().earliest_start(
-                jq, earliest, duration, nprocs
-            )
-            if s is None:
-                raise CalendarError(
-                    "no feasible start found — availability never recovers "
-                    f"to {nprocs} processors"
-                )
-            return float(s)
         run_starts, run_ends = self._free_runs(nprocs)
         # The window must fit inside one free run: start no earlier than
         # the run (or `earliest`) and end by the run's end.
@@ -527,15 +482,6 @@ class ResourceCalendar:
         if _obs.ENABLED:
             _obs.incr("calendar.query.latest")
         self._check_request(duration, nprocs)
-        prof = self.availability()
-        if prof.times.size >= INDEX_MIN_SEGMENTS:
-            if _obs.ENABLED:
-                _obs.incr("calendar.query.latest.indexed")
-            jq = int(np.searchsorted(prof.times, latest_finish, side="left"))
-            s = self._availability_index().latest_start(
-                jq, latest_finish, duration, nprocs, float(earliest)
-            )
-            return None if s is None else float(s)
         run_starts, run_ends = self._free_runs(nprocs)
         # Latest start inside each run: finish at the run's end or the
         # deadline, whichever is sooner.  Computed as `end − duration`
@@ -585,26 +531,6 @@ class ResourceCalendar:
     ) -> np.ndarray:
         d = checked_durations(durations, self._capacity)
         prof = self.availability()
-        if prof.times.size >= INDEX_MIN_SEGMENTS:
-            # Dense profile: one O(log S) indexed probe per processor
-            # count beats sweeping every segment for every count.
-            if _obs.ENABLED:
-                _obs.incr("calendar.query.earliest_multi")
-                _obs.incr("calendar.query.earliest_multi.indexed")
-                _obs.observe("calendar.probe.counts", d.size)
-            idx = self._availability_index()
-            jq = int(np.searchsorted(prof.times, earliest, side="right"))
-            result = np.empty(d.size)
-            for k, dur in enumerate(d.tolist()):
-                s = idx.earliest_start(jq, earliest, dur, k + 1)
-                if s is None:
-                    raise CalendarError(
-                        "availability profile ended before all requests "
-                        "were placed — internal invariant violated"
-                    )
-                result[k] = s
-            return result
-
         m = np.arange(1, d.size + 1)
 
         # One 2-D sweep instead of a segment-by-segment walk: for every
@@ -1107,21 +1033,6 @@ class ResourceCalendar:
     ) -> np.ndarray:
         d = checked_durations(durations, self._capacity)
         prof = self.availability()
-        times = prof.times
-        if times.size >= INDEX_MIN_SEGMENTS:
-            if _obs.ENABLED:
-                _obs.incr("calendar.query.latest_multi")
-                _obs.incr("calendar.query.latest_multi.indexed")
-                _obs.observe("calendar.probe.counts", d.size)
-            idx = self._availability_index()
-            jq = int(np.searchsorted(times, latest_finish, side="left"))
-            result = np.full(d.size, np.nan)
-            for k, dur in enumerate(d.tolist()):
-                s = idx.latest_start(jq, latest_finish, dur, k + 1, earliest)
-                if s is not None:
-                    result[k] = s
-            return result
-
         m = np.arange(1, d.size + 1)
         if _obs.ENABLED:
             _obs.incr("calendar.query.latest_multi")
@@ -1131,7 +1042,7 @@ class ResourceCalendar:
         resolved = np.zeros(d.size, dtype=bool)
 
         # Segment holding instants just before latest_finish.
-        j = int(np.searchsorted(times, latest_finish, side="left")) - 1
+        j = int(np.searchsorted(prof.times, latest_finish, side="left")) - 1
         while True:
             lo, _hi = prof.segment_bounds(j)
             v = prof.segment_value(j)
@@ -1156,7 +1067,12 @@ class ResourceCalendar:
 
     def fits(self, start: float, duration: float, nprocs: int) -> bool:
         """True when ``nprocs`` processors are free on
-        ``[start, start + duration)``."""
+        ``[start, start + duration)``.
+
+        Raises:
+            CalendarError: on an invalid request, or when the window
+                vanishes in rounding (``start + duration == start``).
+        """
         self._check_request(duration, nprocs)
         return self.min_available(start, start + duration) >= nprocs
 

@@ -22,8 +22,9 @@ keeps small.
 **Bitwise contract.**  Every high-level query here reproduces the exact
 float arithmetic of the linear reference (`max`/`min` against the same
 breakpoint values, candidate = ``boundary − duration`` in the same
-order), so indexed and linear paths return bit-identical answers — the
-property tests in ``tests/test_availability_index.py`` assert it.
+order), so indexed and linear paths return bit-identical answers.
+``tests/test_availability_index.py`` checks the walks against
+exhaustive scans.
 
 **Segment indexing.**  The tree works on *extended* segments: index 0 is
 the base segment ``(-inf, times[0])`` and index ``i + 1`` is profile
@@ -31,10 +32,11 @@ segment ``i``.  Extended bounds carry ±inf sentinels so a run's start
 and end times are single array reads.
 
 The index is immutable, like the :class:`StepFunction` it summarizes.
-:class:`repro.calendar.ResourceCalendar` rebuilds it lazily after each
-commit generation (an O(S) vectorized build amortized over all probes
-between commits) rather than splicing the trees in place — the commit
-itself is already O(S), so incremental tree surgery would save nothing.
+No :class:`repro.calendar.ResourceCalendar` query reads it: every query
+has one linear path, and no workload or result table reached the
+profile sizes where the index paid for its rebuild after each commit.
+The module stays while the end-to-end benchmark (``e2ebench/layers.py``)
+wraps :class:`AvailabilityIndex` by name.
 """
 
 from __future__ import annotations

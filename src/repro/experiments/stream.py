@@ -146,7 +146,6 @@ class StreamScheduler:
                 scenario.reservations,
                 n_shards=int(shards),
             )
-        self._calendar.availability()  # pre-compile once for the stream
 
     @property
     def scenario(self) -> ReservationScenario:

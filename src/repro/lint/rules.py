@@ -970,9 +970,10 @@ class MemoInvalidationRule(Rule):
     rule_id = "REP006"
     title = "memo-invalidation"
     rationale = (
-        "Cache coherence: the availability index is valid only for the "
-        "commit generation it was built in, and the generation is the "
-        "service's commit token.  Any method that changes a "
+        "Commit coherence: the commit generation is the service's CAS "
+        "token and one leg of a sharded calendar's token vector, so a "
+        "mutation that skips it lets a stale copy commit.  Any method "
+        "that changes a "
         "ResourceCalendar's logical state must call "
         "_invalidate_caches() (or bump _generation); "
         "StepFunction is immutable outside construction, full stop."

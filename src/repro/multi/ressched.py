@@ -1,9 +1,9 @@
 """Forward turn-around scheduling across several clusters.
 
 The single-cluster heuristic generalizes naturally: tasks in decreasing
-bottom-level order; for each task, every cluster answers the vectorized
-earliest-start query over processor counts up to that cluster's CPA
-bound, and the globally earliest completion wins.  Ties prefer fewer
+bottom-level order; for each task, every cluster answers RESSCHED's
+earliest-completion question over processor counts up to that cluster's
+CPA bound, and the globally earliest completion wins.  Ties prefer fewer
 processors, then the cluster listed first (deterministic).
 
 Bottom levels use BL_CPAR semantics with a platform-wide yardstick: CPA
@@ -12,16 +12,12 @@ availability — a task can never use more processors than one cluster
 offers, so pooling the clusters' P' values would overestimate.
 
 The platform is held as a :class:`~repro.shard.ShardedCalendar` with one
-shard per cluster: probes go through
-:meth:`~repro.shard.ShardedCalendar.probe_shards` (heterogeneous
-per-cluster execution-time vectors, no facade reduce — the
-``(completion, j + 1, idx)`` reduce below is cluster-aware) and commits
-through :meth:`~repro.shard.ShardedCalendar.reserve_in`.  The previous
-code path — a bare ``dict[str, ResourceCalendar]`` probed cluster by
-cluster — is deprecated and was removed; it answered the same queries
-serially with no shard observability, and :mod:`repro.shard` subsumes
-it (bitwise: the facade routes each leg to the same
-``earliest_starts_multi`` / ``reserve`` calls).
+shard per cluster.  Each cluster's shard answers with its own
+:meth:`~repro.calendar.ResourceCalendar.earliest_completion` on that
+cluster's execution-time vector (fewest processors among completion
+ties), and the answers are reduced by ``(completion, nprocs, cluster
+position)``.  No facade reduce fits here: the clusters' vectors differ.
+Commits go through :meth:`~repro.shard.ShardedCalendar.reserve_in`.
 """
 
 from __future__ import annotations
@@ -80,6 +76,7 @@ def schedule_ressched_multi(
 
     # One shard per cluster; shard id == cluster position.
     platform = ShardedCalendar([c.calendar() for c in scenario.clusters])
+    shards = platform.shards
     exec_tables = {
         c.name: [graph.task(i).exec_times(c.capacity) for i in range(graph.n)]
         for c in scenario.clusters
@@ -94,27 +91,24 @@ def schedule_ressched_multi(
             assert placement is not None  # the order is topological
             ready = max(ready, placement.finish)
 
-        requests = [
-            (ready, exec_tables[c.name][i][: int(bounds[c.name][i])])
-            for c in scenario.clusters
-        ]
-        answers = platform.probe_shards(requests)
-        best: tuple[tuple[float, int, int], str, float, float] | None = None
+        best: tuple[tuple[float, int, int], float, float] | None = None
         for idx, cluster in enumerate(scenario.clusters):
-            durations = requests[idx][1]
-            starts = answers[idx]
-            completions = starts + durations
-            j = int(np.argmin(completions))
-            key = (float(completions[j]), j + 1, idx)
+            bound = int(bounds[cluster.name][i])
+            durations = exec_tables[cluster.name][i][:bound]
+            start, m = shards[idx].earliest_completion(ready, durations)
+            dur = float(durations[m - 1])
+            key = (start + dur, m, idx)
             if best is None or key < best[0]:
-                best = (
-                    key, cluster.name, float(starts[j]), float(durations[j])
-                )
+                best = (key, start, dur)
         assert best is not None
-        (_, m, shard), name, start, dur = best
+        (_, m, shard), start, dur = best
         platform.reserve_in(shard, start, dur, m, label=graph.task(i).name)
         placements[i] = MultiPlacement(
-            task=i, cluster=name, start=start, nprocs=m, duration=dur
+            task=i,
+            cluster=scenario.clusters[shard].name,
+            start=start,
+            nprocs=m,
+            duration=dur,
         )
 
     return MultiSchedule(

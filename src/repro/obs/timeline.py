@@ -9,10 +9,7 @@ typed events, each carrying
 * a monotonic **wall time** offset from the timeline's epoch
   (``time.perf_counter``, the same clock as :class:`repro.obs.stopwatch`),
 * an optional **trace id** (per-request) and **tenant**, resolved from
-  an ambient trace scope when not given explicitly,
-* an optional **shard id**, resolved from an ambient shard scope (opened
-  by :class:`repro.shard.ShardedCalendar` around each shard's leg of a
-  fanned-out probe or commit) when not given explicitly, and
+  an ambient trace scope when not given explicitly, and
 * free-form attributes (``tasks=12``, ``latency_s=0.003``).
 
 The event vocabulary is closed (:data:`EVENT_TYPES`) so downstream
@@ -76,7 +73,7 @@ REQUEST_CLOSING: tuple[str, ...] = (
 #: Event-dict keys owned by the timeline itself; ``emit`` rejects
 #: attribute names that would shadow them.
 _RESERVED: frozenset[str] = frozenset(
-    {"type", "sim_t", "wall_s", "trace", "tenant", "shard"}
+    {"type", "sim_t", "wall_s", "trace", "tenant"}
 )
 
 #: Default ring capacity: enough for ~100 streamed requests with full
@@ -134,33 +131,6 @@ def trace_scope(
         pop_trace()
 
 
-#: Ambient shard scope stack: while a :class:`repro.shard.ShardedCalendar`
-#: serves one shard's leg of a fanned-out probe or commit, every event
-#: emitted underneath is tagged with that shard id.  Orthogonal to the trace stack: a shard scope
-#: nests inside a request's trace scope.
-_SHARD_STACK: list[int] = []
-
-
-def push_shard(shard: int) -> None:
-    """Open an ambient shard scope (pair with :func:`pop_shard`)."""
-    _SHARD_STACK.append(int(shard))
-
-
-def pop_shard() -> None:
-    """Close the innermost ambient shard scope."""
-    _SHARD_STACK.pop()
-
-
-@contextmanager
-def shard_scope(shard: int) -> Iterator[None]:
-    """Ambient shard scope as a context manager (cold call sites)."""
-    push_shard(shard)
-    try:
-        yield
-    finally:
-        pop_shard()
-
-
 class Timeline:
     """A bounded ring of typed events with explicit drop accounting.
 
@@ -199,7 +169,6 @@ class Timeline:
         *,
         trace: str | None = None,
         tenant: str | None = None,
-        shard: int | None = None,
         **attrs: Any,
     ) -> None:
         """Append one event (evicting the oldest when at capacity)."""
@@ -216,8 +185,6 @@ class Timeline:
             trace = ambient_trace
             if tenant is None:
                 tenant = ambient_tenant
-        if shard is None and _SHARD_STACK:
-            shard = _SHARD_STACK[-1]
         ev: dict[str, Any] = {
             "type": type_,
             "sim_t": None if sim_t is None else float(sim_t),
@@ -225,8 +192,6 @@ class Timeline:
             "trace": trace,
             "tenant": tenant,
         }
-        if shard is not None:
-            ev["shard"] = shard
         if attrs:
             ev.update(attrs)
         if len(self._events) >= self.cap:
@@ -294,7 +259,6 @@ def emit(
     *,
     trace: str | None = None,
     tenant: str | None = None,
-    shard: int | None = None,
     **attrs: Any,
 ) -> None:
     """Record one event into the ambient timeline (no-op when disabled).
@@ -305,7 +269,7 @@ def emit(
     """
     if ENABLED:
         _CURRENT.emit(
-            type_, sim_t, trace=trace, tenant=tenant, shard=shard, **attrs
+            type_, sim_t, trace=trace, tenant=tenant, **attrs
         )
 
 

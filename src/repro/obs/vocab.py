@@ -44,7 +44,6 @@ COUNTERS: frozenset[str] = frozenset(
         "cache.alloc.evict",
         "cache.alloc.hit",
         "cache.alloc.miss",
-        "cache.calendar.index_build",
         "cache.calendar.invalidate",
         # -- calendar hot path -------------------------------------------
         "calendar.add.rebuild",
@@ -54,15 +53,10 @@ COUNTERS: frozenset[str] = frozenset(
         "calendar.completion.escalations",
         "calendar.completion.pruned",
         "calendar.query.earliest",
-        "calendar.query.earliest.indexed",
         "calendar.query.earliest_completion",
         "calendar.query.earliest_multi",
-        "calendar.query.earliest_multi.indexed",
         "calendar.query.latest",
-        "calendar.query.latest.indexed",
         "calendar.query.latest_multi",
-        "calendar.query.latest_multi.indexed",
-        "calendar.query.min.indexed",
         "calendar.remove",
         "calendar.validate",
         # -- CPA allocation ----------------------------------------------

@@ -1,13 +1,12 @@
 """Sharded resource calendar: K partitions behind one facade.
 
 The single process-local :class:`~repro.calendar.ResourceCalendar` is
-the streamed engine's throughput ceiling: every placement probe, every
-availability splice, and every :class:`AvailabilityIndex` rebuild
-serializes through one compiled profile, so one commit invalidates the
-caches for the *entire* platform.  :class:`ShardedCalendar` partitions
-the platform into ``K`` shards — each an independent strict
-``ResourceCalendar`` with its own profile, index, and generation
-counter — and recovers the calendar API on top:
+the streamed engine's throughput ceiling: every placement probe and
+every availability splice works on one compiled profile of the *entire*
+platform, and every commit starts a new generation of it.
+:class:`ShardedCalendar` partitions the platform into ``K`` shards —
+each an independent strict ``ResourceCalendar`` with its own profile
+and generation counter — and recovers the calendar API on top:
 
 * **Probes fan out, reduced deterministically.**
   :meth:`earliest_completion` runs the earliest-completion kernel once
@@ -67,7 +66,6 @@ from repro.calendar import (
 from repro.calendar.calendar import checked_durations, completion_order
 from repro.errors import CalendarError, ShardCommitError
 from repro.obs import core as _obs
-from repro.obs import timeline as _tl
 
 __all__ = ["ShardedCalendar", "shard_capacities"]
 
@@ -180,10 +178,6 @@ class ShardedCalendar:
         #: Staged copies only: each routed commit and its hosting shard,
         #: in commit order (:meth:`hosts`).
         self._staged_hosts: list[tuple[Reservation, int]] = []
-        # Combined-profile cache for availability(), keyed by the
-        # generation vector it was built at.
-        self._combined: StepFunction | None = None
-        self._combined_gens: tuple[int, ...] = ()
 
     # ------------------------------------------------------------------
     # Construction
@@ -304,26 +298,27 @@ class ShardedCalendar:
         """The platform-wide availability profile (sum over shards).
 
         Cold-path convenience: per-shard profiles stay compiled
-        incrementally, but the sum is rebuilt whenever any shard moved.
-        Hot paths query shards through the facade methods instead.
+        incrementally, and the sum is built on every call.  Hot paths
+        query shards through the facade methods instead.
         """
-        if len(self._shards) == 1:
-            return self._shards[0].availability()
-        gens = self.generations
-        if self._combined is None or self._combined_gens != gens:
-            combined = self._shards[0].availability()
-            for s in self._shards[1:]:
-                combined = combined + s.availability()
-            self._combined = combined
-            self._combined_gens = gens
-        return self._combined
+        combined = self._shards[0].availability()
+        for s in self._shards[1:]:
+            combined = combined + s.availability()
+        return combined
 
     def min_available(self, t0: float, t1: float) -> int:
         """Minimum *total* free processors over ``[t0, t1)``.
 
         Note this is an upper bound on what one placement can use: a
         single reservation must fit wholly inside one shard.
+
+        Raises:
+            CalendarError: unless ``t1 > t0``.
         """
+        if not t1 > t0:
+            raise CalendarError(
+                f"min_available needs t1 > t0, got the window [{t0}, {t1})"
+            )
         return int(self.availability().min_over(t0, t1))
 
     # ------------------------------------------------------------------
@@ -420,41 +415,6 @@ class ShardedCalendar:
         if _obs.ENABLED:
             _obs.incr("shard.probes", len(self._shards))
         return start, m
-
-    def probe_shards(
-        self,
-        requests: Sequence[
-            tuple[float, npt.NDArray[np.float64] | Sequence[float]]
-        ],
-    ) -> list[npt.NDArray[np.float64]]:
-        """Heterogeneous fan-out: one ``(earliest, durations)`` request
-        *per shard*, answered by that shard alone (no reduce).
-
-        The multi-cluster seed uses this: each cluster-shard probes its
-        own cluster-specific execution-time vector, and the caller
-        applies its own completion-time reduce across the answers.
-        """
-        if len(requests) != len(self._shards):
-            raise CalendarError(
-                f"probe_shards needs one request per shard "
-                f"({len(self._shards)}), got {len(requests)}"
-            )
-        out: list[npt.NDArray[np.float64]] = []
-        for k, (earliest, durations) in enumerate(requests):
-            if _tl.ENABLED:
-                _tl.push_shard(k)
-            try:
-                out.append(
-                    self._shards[k].earliest_starts_multi(
-                        float(earliest), durations
-                    )
-                )
-            finally:
-                if _tl.ENABLED:
-                    _tl.pop_shard()
-        if _obs.ENABLED:
-            _obs.incr("shard.probes", len(self._shards))
-        return out
 
     def earliest_start(
         self, earliest: float, duration: float, nprocs: int

@@ -1,25 +1,17 @@
-"""Property tests: indexed availability queries vs the linear reference.
+"""Property tests: the :class:`AvailabilityIndex` tree walks against
+exhaustive scans, and :meth:`StepFunction.content_digest` stability.
 
-The :class:`AvailabilityIndex` fast paths must be *bitwise*
-indistinguishable from the linear scans they replace — same floats, same
-None/NaN outcomes, same exceptions — on any calendar state, including
-near-zero-width reservations, exactly adjacent interval boundaries
-(zero-width free gaps), and profiles reached through the incremental
-splice path.  The whole-suite equivalence (full Table 4/6 runs with the
-index forced on vs off) lives in ``tests/test_caching_equivalence.py``;
-here Hypothesis hammers the primitives directly.
+No calendar query reads the index; the calendar queries themselves are
+checked against a plain-Python reference in
+``tests/test_reference_calendar.py``.
 """
 
 from __future__ import annotations
 
-import sys
-
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.calendar.calendar as calmod
 from repro.calendar import Reservation, ResourceCalendar
 from repro.calendar.index import AvailabilityIndex
 
@@ -57,140 +49,6 @@ def _build(cap, spec, splice):
     for r in res:
         cal.add(r)
     return cal
-
-
-class _Forced:
-    """Force the indexed path regardless of profile size."""
-
-    threshold = 0
-
-    def __enter__(self):
-        self._saved = calmod.INDEX_MIN_SEGMENTS
-        calmod.INDEX_MIN_SEGMENTS = self.threshold
-        return self
-
-    def __exit__(self, *exc):
-        calmod.INDEX_MIN_SEGMENTS = self._saved
-
-
-class _Linear(_Forced):
-    """Force the linear reference path (threshold above any profile)."""
-
-    threshold = sys.maxsize
-
-
-class TestIndexedVsLinear:
-    @given(
-        cap=st.integers(1, 12),
-        spec=_RESERVATIONS,
-        splice=st.booleans(),
-        earliest=_COORDS,
-        duration=st.floats(1e-9, 30.0),
-        nprocs=st.integers(1, 12),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_earliest_start_bitwise(
-        self, cap, spec, splice, earliest, duration, nprocs
-    ):
-        cal = _build(cap, spec, splice)
-        nprocs = min(nprocs, cap)
-        with _Linear():
-            want = cal.earliest_start(earliest, duration, nprocs)
-        with _Forced():
-            got = cal.earliest_start(earliest, duration, nprocs)
-        assert got == want  # bitwise: == on floats, no tolerance
-
-    @given(
-        cap=st.integers(1, 12),
-        spec=_RESERVATIONS,
-        splice=st.booleans(),
-        finish=_COORDS,
-        lo=st.one_of(st.just(-np.inf), _COORDS),
-        duration=st.floats(1e-9, 30.0),
-        nprocs=st.integers(1, 12),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_latest_start_bitwise(
-        self, cap, spec, splice, finish, lo, duration, nprocs
-    ):
-        cal = _build(cap, spec, splice)
-        nprocs = min(nprocs, cap)
-        with _Linear():
-            want = cal.latest_start(finish, duration, nprocs, earliest=lo)
-        with _Forced():
-            got = cal.latest_start(finish, duration, nprocs, earliest=lo)
-        assert got == want  # None agrees too
-
-    @given(
-        cap=st.integers(1, 12),
-        spec=_RESERVATIONS,
-        splice=st.booleans(),
-        t0=_COORDS,
-        width=st.floats(1e-9, 50.0),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_min_available_bitwise(self, cap, spec, splice, t0, width):
-        cal = _build(cap, spec, splice)
-        with _Linear():
-            want = cal.min_available(t0, t0 + width)
-        with _Forced():
-            got = cal.min_available(t0, t0 + width)
-        assert got == want
-
-    @given(
-        cap=st.integers(2, 12),
-        spec=_RESERVATIONS,
-        earliest=_COORDS,
-        finish=_COORDS,
-        b=st.integers(1, 12),
-        data=st.data(),
-    )
-    @settings(max_examples=150, deadline=None)
-    def test_multi_queries_bitwise(self, cap, spec, earliest, finish, b, data):
-        cal = _build(cap, spec, True)
-        b = min(b, cap)
-        d = np.asarray(
-            data.draw(
-                st.lists(
-                    st.floats(1e-9, 30.0), min_size=b, max_size=b
-                )
-            )
-        )
-        with _Linear():
-            want_e = cal.earliest_starts_multi(earliest, d)
-            want_l = cal.latest_starts_multi(finish, d, earliest=earliest)
-        with _Forced():
-            got_e = cal.earliest_starts_multi(earliest, d)
-            got_l = cal.latest_starts_multi(finish, d, earliest=earliest)
-        assert np.array_equal(want_e, got_e)
-        assert np.array_equal(want_l, got_l, equal_nan=True)
-
-    @given(
-        cap=st.integers(1, 12),
-        spec=_RESERVATIONS,
-        commits=st.lists(
-            st.tuples(_COORDS, st.floats(1e-9, 10.0), st.integers(1, 4)),
-            min_size=1,
-            max_size=5,
-        ),
-        earliest=_COORDS,
-        duration=st.floats(1e-9, 20.0),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_post_splice_states_agree(
-        self, cap, spec, commits, earliest, duration
-    ):
-        # Interleave queries with reserve_known_feasible commits: the
-        # index must be invalidated and rebuilt per commit generation.
-        cal = _build(cap, spec, True)
-        with _Forced():
-            for ready, dur, m in commits:
-                m = min(m, cap)
-                s = cal.earliest_start(ready, dur, m)
-                cal.reserve_known_feasible(s, dur, m)
-                with _Linear():
-                    want = cal.earliest_start(earliest, duration, m)
-                assert cal.earliest_start(earliest, duration, m) == want
 
 
 class TestWalkPrimitives:

@@ -12,38 +12,23 @@ replace:
 * resource-conservative: ascending ``earliest_starts_multi`` and the
   first count with ``fin <= latest_finish and fin > start``.
 
-Both references run on strict and clamped calendars, through the linear
-sweeps and through the availability index (``INDEX_MIN_SEGMENTS`` at
-its default and at 0); the kernels have one code path.
+Both references run on strict and clamped calendars; the kernels and
+the sweeps each have one code path.
 """
 
 from __future__ import annotations
-
-from contextlib import contextmanager
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.calendar.calendar as calmod
 from repro.calendar import Reservation, ResourceCalendar
 from repro.errors import CalendarError
 from repro.rng import make_rng
 from repro.units import TIME_EPS
 
-INDEX_THRESHOLDS = (calmod.INDEX_MIN_SEGMENTS, 0)
 SHAPES = ("equal", "amdahl", "random", "vanishing")
-
-
-@contextmanager
-def _index_threshold(value: int):
-    saved = calmod.INDEX_MIN_SEGMENTS
-    calmod.INDEX_MIN_SEGMENTS = value
-    try:
-        yield
-    finally:
-        calmod.INDEX_MIN_SEGMENTS = saved
 
 
 def _latest_reference(cal, latest_finish, durations, earliest):
@@ -126,9 +111,7 @@ def _check_latest(cal, latest_finish, d, earliest):
         latest_finish, d, earliest=earliest, probed=got_probed
     )
     starts = cal.latest_starts_multi(latest_finish, d, earliest=earliest)
-    for threshold in INDEX_THRESHOLDS:
-        with _index_threshold(threshold):
-            assert got == _latest_reference(cal, latest_finish, d, earliest)
+    assert got == _latest_reference(cal, latest_finish, d, earliest)
     # Provenance covers every count once, in count order.  Exact entries
     # carry the count's true latest start when it fitted at or after
     # `earliest`; the others carry an upper bound on any start the count
@@ -158,9 +141,7 @@ def _check_fewest(cal, earliest, latest_finish, d):
     got_probed: list = []
     got = cal.fewest_placement(earliest, latest_finish, d, probed=got_probed)
     starts = cal.earliest_starts_multi(earliest, d)
-    for threshold in INDEX_THRESHOLDS:
-        with _index_threshold(threshold):
-            assert got == _fewest_reference(cal, earliest, latest_finish, d)
+    assert got == _fewest_reference(cal, earliest, latest_finish, d)
     # Counts are tried in ascending order up to the winner; exact entries
     # are true earliest starts, pruned ones a lower bound on the finish
     # that already passed `latest_finish`.

@@ -1,33 +1,20 @@
 """Acceptance: the full Table 4 and Table 6 suites are bitwise-identical
-with every cache layer (availability index, allocation memo) forced on
-vs forced off.
+with the allocation memo forced on vs forced off.
 
-This is the end-to-end counterpart of the per-primitive property tests
-in ``tests/test_availability_index.py``: whatever the schedulers ask of
-the calendar and the allocator across a real experiment grid, the fast
-paths must change *nothing* about the results — numeric cells AND
-formatted output.
+Whatever the schedulers ask of the allocator across a real experiment
+grid, the memo must change *nothing* about the results — numeric cells
+AND formatted output.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
 
-import pytest
-
-import repro.calendar.calendar as calmod
 from repro.cpa import allocation as allocmod
 from repro.experiments.memo import caching
 from repro.experiments.scenarios import ExperimentScale
 from repro.experiments.table4 import format_table4, run_table4
 from repro.experiments.table6 import format_table6, run_table6
-
-
-@pytest.fixture
-def forced_index(monkeypatch):
-    """Cache layers on, with the index threshold dropped to zero so even
-    smoke-size profiles exercise the tree walks."""
-    monkeypatch.setattr(calmod, "INDEX_MIN_SEGMENTS", 0)
 
 
 def _canon(result):
@@ -45,7 +32,7 @@ def _canon(result):
 
 
 class TestSuiteBitwiseEquivalence:
-    def test_table4_identical_with_and_without_caches(self, forced_index):
+    def test_table4_identical_with_and_without_caches(self):
         scale = ExperimentScale.smoke()
         with caching(False):
             allocmod.clear_memo()
@@ -56,7 +43,7 @@ class TestSuiteBitwiseEquivalence:
         assert format_table4(off) == format_table4(on)
         assert _canon(off) == _canon(on)
 
-    def test_table6_identical_with_and_without_caches(self, forced_index):
+    def test_table6_identical_with_and_without_caches(self):
         scale = replace(ExperimentScale.smoke(), phis=(0.2, 0.4))
         with caching(False):
             allocmod.clear_memo()

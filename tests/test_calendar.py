@@ -174,6 +174,25 @@ class TestLatestStart:
         assert not busy_calendar.fits(6000.0, 4001.0, 16)
 
 
+class TestEmptyWindows:
+    """An empty window raises the calendar's error, as ``reserve`` does."""
+
+    def test_min_available_names_the_window(self):
+        cal = ResourceCalendar(4, [Reservation(0.0, 10.0, 2)])
+        with pytest.raises(CalendarError, match=r"\[5\.0, 5\.0\)"):
+            cal.min_available(5.0, 5.0)
+        with pytest.raises(CalendarError, match=r"\[6\.0, 5\.0\)"):
+            cal.min_available(6.0, 5.0)
+
+    def test_fits_refuses_a_window_that_vanishes(self):
+        cal = ResourceCalendar(4)
+        assert 1e20 + 1.0 == 1e20
+        with pytest.raises(CalendarError, match=r"\[1e\+20, 1e\+20\)"):
+            cal.fits(1e20, 1.0, 1)
+        with pytest.raises(CalendarError):
+            cal.reserve(1e20, 1.0, 1)
+
+
 class TestReserve:
     def test_reserve_returns_reservation(self):
         cal = ResourceCalendar(8)

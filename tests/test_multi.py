@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.calendar import Reservation
+from repro.calendar import Reservation, ResourceCalendar
 from repro.core import ResSchedAlgorithm, schedule_ressched
 from repro.dag import DagGenParams, random_task_graph
-from repro.errors import GenerationError, ScheduleValidationError
+from repro.errors import CalendarError, GenerationError, ScheduleValidationError
 from repro.multi import (
     MultiClusterScenario,
     MultiPlacement,
@@ -244,3 +246,73 @@ class TestMultiProperties:
         )
         sched = schedule_ressched_multi(graph, scenario, bound_method=bound)
         validate_multi_schedule(sched, scenario)
+
+
+#: Hash over every instance of ``GOLDEN_INSTANCES``, both bound methods
+#: and one to three clusters.  Recorded while the scheduler still swept
+#: every processor count of every cluster (``earliest_starts_multi``,
+#: then the argmin of the completions); per-cluster
+#: ``earliest_completion`` must place every task identically.
+MULTI_GOLDEN = "a5eb5f17590be765558fb0140e830ad9050d2bafc3b121401116a7dcd6c7f2a5"
+
+#: (graph seed, tasks, scheduling instant) per golden instance.
+GOLDEN_INSTANCES = (
+    (3, 10, 0.0),
+    (17, 20, 1_500.0),
+    (42, 30, 600.0),
+    (8, 25, 4_000.0),
+)
+
+
+def _busy_cluster(name, seed, capacity, now):
+    """A cluster whose random reservations fit a strict calendar."""
+    rng = make_rng(seed)
+    cal = ResourceCalendar(capacity)
+    for i in range(40):
+        # Whole-second bounds make breakpoints coincide.
+        start = float(round(rng.uniform(0.0, 30_000.0)))
+        length = float(round(rng.uniform(300.0, 6_000.0)))
+        try:
+            cal.add(
+                Reservation(start, start + length, int(rng.integers(1, capacity + 1)))
+            )
+        except CalendarError:
+            pass
+    return _cluster(
+        name,
+        capacity=capacity,
+        hist=float(rng.uniform(1.0, capacity)),
+        now=now,
+        reservations=cal.reservations,
+    )
+
+
+def _multi_digest():
+    h = hashlib.sha256()
+    for seed, n, now in GOLDEN_INSTANCES:
+        graph = random_task_graph(DagGenParams(n=n), make_rng(seed))
+        clusters = (
+            _busy_cluster("a", seed + 1, 16, now),
+            _busy_cluster("b", seed + 2, 8, now),
+            # A twin of "a": equal completions go to the cluster listed
+            # first until "a" fills up.
+            _busy_cluster("c", seed + 1, 16, now),
+        )
+        for k in (1, 2, 3):
+            scenario = MultiClusterScenario(clusters=clusters[:k])
+            for bound in ("BD_CPAR", "BD_ALL"):
+                sched = schedule_ressched_multi(
+                    graph, scenario, bound_method=bound
+                )
+                validate_multi_schedule(sched, scenario)
+                for p in sched.placements:
+                    h.update(
+                        f"{p.task}:{p.cluster}:{p.start!r}:{p.nprocs}:"
+                        f"{p.duration!r};".encode()
+                    )
+    return h.hexdigest()
+
+
+class TestGoldenDigest:
+    def test_placements_digest(self):
+        assert _multi_digest() == MULTI_GOLDEN

@@ -643,7 +643,7 @@ class TestTimingUsesStopwatch:
 
 
 # ----------------------------------------------------------------------
-# Cache counters (availability index, allocation memo)
+# Cache counters (commit generations, allocation memo)
 # ----------------------------------------------------------------------
 
 
@@ -651,18 +651,16 @@ class TestCacheCounters:
     """Every cache layer reports hits/misses/invalidations under the
     ``cache.*`` namespace, and the counters flow into RunReports."""
 
-    def test_calendar_cache_counters(self, monkeypatch):
-        monkeypatch.setattr(calmod, "INDEX_MIN_SEGMENTS", 0)
+    def test_calendar_cache_counters(self):
         cal = ResourceCalendar(16)
         d = np.linspace(900.0, 100.0, 8)
         with obs.instrumented() as col:
-            starts = cal.earliest_starts_multi(0.0, d)  # builds the index
-            cal.latest_start(5000.0, 100.0, 4)          # reuses it
+            starts = cal.earliest_starts_multi(0.0, d)
+            cal.latest_start(5000.0, 100.0, 4)
             cal.reserve_known_feasible(float(starts[3]), d[3], 4)
             cal.earliest_starts_multi(0.0, d)           # new generation
         c = col.counters
         assert c["cache.calendar.invalidate"] == 1
-        assert c["cache.calendar.index_build"] == 2
 
     def test_alloc_memo_counters_and_replay(self, small_graph):
         from repro.cpa import allocation as allocmod

@@ -351,11 +351,7 @@ class TestBenchHarness:
         assert entry["seed_s"] > 0 and entry["incremental_s"] > 0
 
     def test_seed_baseline_restores_everything(self):
-        flags = (
-            calmod.INDEX_MIN_SEGMENTS,
-            calmod.VALIDATE_COMMITS,
-            allocmod.MEMOIZE_ALLOCATIONS,
-        )
+        flags = (calmod.VALIDATE_COMMITS, allocmod.MEMOIZE_ALLOCATIONS)
         methods = (
             TaskGraph.bottom_levels,
             ResourceCalendar.earliest_starts_multi,
@@ -376,11 +372,7 @@ class TestBenchHarness:
             with pytest.raises(CalendarError):
                 cal.reserve_known_feasible(5.0, 10.0, 2)
             assert len(cal) == 1
-        assert flags == (
-            calmod.INDEX_MIN_SEGMENTS,
-            calmod.VALIDATE_COMMITS,
-            allocmod.MEMOIZE_ALLOCATIONS,
-        )
+        assert flags == (calmod.VALIDATE_COMMITS, allocmod.MEMOIZE_ALLOCATIONS)
         assert allocmod._cpa_allocation is loop
         assert TaskGraph.bottom_levels is methods[0]
         assert ResourceCalendar.earliest_starts_multi is methods[1]

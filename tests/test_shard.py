@@ -112,6 +112,23 @@ class TestPartition:
         assert sharded.capacity == 32
         assert len(sharded) >= len(res)
 
+    def test_availability_follows_every_mutation(self):
+        sharded = ShardedCalendar.partition(8, (), n_shards=2)
+        assert sharded.availability()(50.0) == 8
+        r = Reservation(start=0.0, end=100.0, nprocs=6, label="a")
+        sharded.add(r)
+        assert sharded.availability()(50.0) == 2
+        assert sharded.min_available(0.0, 200.0) == 2
+        sharded.remove(r)
+        assert sharded.availability()(50.0) == 8
+
+    def test_min_available_names_an_empty_window(self):
+        sharded = ShardedCalendar.partition(
+            4, [Reservation(0.0, 10.0, 2)], n_shards=2
+        )
+        with pytest.raises(CalendarError, match=r"\[5\.0, 5\.0\)"):
+            sharded.min_available(5.0, 5.0)
+
     def test_overflow_raises_and_mutates_nothing(self):
         sharded = ShardedCalendar.partition(8, (), n_shards=4)
         sharded.add(Reservation(start=0.0, end=100.0, nprocs=6, label="a"))

@@ -22,10 +22,15 @@ questions every scheduler in this library asks:
 
 The availability profile ``capacity − occupancy`` is compiled lazily into
 a :class:`StepFunction` and then maintained **incrementally**: committing
-a reservation splices two breakpoints into the compiled profile
-(:meth:`StepFunction.with_interval_delta`, one O(segments) array copy)
-instead of invalidating it and paying a full O(R log R) recompile on the
-next query.  Placement queries are NumPy computations over the profile's
+a reservation splices it into the compiled profile
+(:meth:`StepFunction.splice`: one copy of each array, with the delta,
+the zero-jump rule and the negative-residue check applied only to the
+breakpoints the reservation covers) instead of invalidating it and
+paying a full O(R log R) recompile on the next query.  :meth:`remove`
+is the inverse splice while the profile is *exact* — nothing clamped
+since it was compiled, so it is the exact integer sum of the
+reservations' deltas — and drops the profile for a recompile otherwise.
+Placement queries are NumPy computations over the profile's
 ``times``/``values`` arrays.
 
 Schedulers committing placements that came out of this calendar's own
@@ -139,6 +144,10 @@ class ResourceCalendar:
         self._clamp = bool(clamp)
         self._reservations: list[Reservation] = []
         self._profile: StepFunction | None = None
+        # True while the compiled profile is the exact sum of the
+        # reservations' deltas: nothing has been clamped since it was
+        # compiled.  Only then may remove() splice a reservation out.
+        self._exact = True
         # Monotone commit generation: bumped on every profile mutation.
         self._generation = 0
         for r in reservations:
@@ -186,8 +195,17 @@ class ResourceCalendar:
 
         Removes the first reservation equal to ``reservation`` (the
         cancel / booking-revocation primitive of the online service) and
-        starts a new commit generation; the availability profile is
-        recompiled lazily on the next query.
+        starts a new commit generation.
+
+        While the compiled profile is exact — nothing clamped since it
+        was compiled — the reservation is spliced back out, the inverse
+        of its commit: ``+nprocs`` over ``[start, end)`` in O(segments).
+        Profile values are integers, so an unclamped profile is the
+        exact sum of its reservations' deltas; the spliced result is the
+        same function as a fresh compile of the remaining reservations,
+        and its canonical form is unique, so it is the same arrays too.
+        A clamp loses what it cut off; after one, the profile is dropped
+        and recompiled on the next query.
 
         Raises:
             CalendarError: if no equal reservation is registered.
@@ -200,7 +218,14 @@ class ResourceCalendar:
             ) from None
         if _obs.ENABLED:
             _obs.incr("calendar.remove")
-        self._profile = None
+        if self._profile is not None and self._exact:
+            if _obs.ENABLED:
+                _obs.incr("calendar.remove.splice")
+            self._profile = self._profile.splice(
+                reservation.start, reservation.end, float(reservation.nprocs)
+            )[0]
+        else:
+            self._profile = None
         self._invalidate_caches()
 
     def add(self, reservation: Reservation) -> None:
@@ -237,6 +262,7 @@ class ResourceCalendar:
                 ) from None
             self._reservations.append(reservation)
             self._profile = validated
+            self._exact = self._exact and validated is spliced
             self._invalidate_caches()
             return
         if _obs.ENABLED:
@@ -276,6 +302,17 @@ class ResourceCalendar:
         *current* state; externally supplied reservations must go through
         :meth:`add`.
         """
+        if VALIDATE_COMMITS or _obs.ENABLED:
+            # One branch on the bare commit path: re-validation and
+            # instrumentation both take the slow path.
+            return self._observed_commit(start, duration, nprocs, label)
+        return self._splice_commit(start, duration, nprocs, label)
+
+    def _observed_commit(
+        self, start: float, duration: float, nprocs: int, label: str
+    ) -> Reservation:
+        """:meth:`reserve_known_feasible` under :data:`VALIDATE_COMMITS`
+        or with :mod:`repro.obs` enabled."""
         if VALIDATE_COMMITS:
             if _obs.ENABLED:
                 _obs.incr("calendar.commit.validated")
@@ -283,26 +320,36 @@ class ResourceCalendar:
         if _obs.ENABLED:
             with _obs.span("calendar.commit"):
                 _obs.incr("calendar.commit.splice")
+                # The new generation _splice_commit starts.
+                _obs.incr("cache.calendar.invalidate")
                 return self._splice_commit(start, duration, nprocs, label)
         return self._splice_commit(start, duration, nprocs, label)
 
     def _splice_commit(
         self, start: float, duration: float, nprocs: int, label: str
     ) -> Reservation:
-        """The :meth:`reserve_known_feasible` fast path proper."""
+        """The :meth:`reserve_known_feasible` fast path proper.
+
+        Only the spliced range is checked for negative residue: every
+        profile a calendar holds is non-negative (compiles and clamps
+        make it so, and removes only raise values), and the splice
+        leaves the values outside ``[start, end)`` as they were.
+        """
         r = Reservation(
             start=start, end=start + duration, nprocs=nprocs, label=label
         )
         prof = self.availability()
-        spliced = prof.with_interval_delta(r.start, r.end, -float(r.nprocs))
-        if spliced.values.size and spliced.values.min() < 0:
+        spliced, least = prof.splice(r.start, r.end, -float(r.nprocs))
+        if least < 0:
             # Feasible placements can only go negative by floating-point
             # residue; clamp it like the strict path does so the profile
             # stays bitwise identical to a full recompile.
             spliced = spliced.map(lambda v: np.maximum(v, 0.0)).canonical()
+            self._exact = False
         self._reservations.append(r)
         self._profile = spliced
-        self._invalidate_caches()
+        # _invalidate_caches() without its counter (the caller counts).
+        self._generation += 1
         return r
 
     def copy(self) -> "ResourceCalendar":
@@ -316,6 +363,7 @@ class ResourceCalendar:
         dup._clamp = self._clamp
         dup._reservations = list(self._reservations)
         dup._profile = self._profile
+        dup._exact = self._exact
         dup._generation = self._generation
         return dup
 
@@ -339,6 +387,8 @@ class ResourceCalendar:
         and ``start + duration`` can land one ulp past the boundary;
         durations are minutes to hours, so sub-microsecond overlaps are
         physically meaningless and get clamped instead.
+
+        Returns ``profile`` itself exactly when nothing was clamped.
         """
         if _obs.ENABLED:
             _obs.incr("calendar.validate")
@@ -370,6 +420,7 @@ class ResourceCalendar:
                 events.append((r.end, float(r.nprocs)))
             profile = StepFunction.from_deltas(events, base=float(self._capacity))
             self._profile = self._validated(profile)
+            self._exact = self._profile is profile
         return self._profile
 
     def available_at(self, t: float) -> int:

@@ -16,6 +16,7 @@ scheduler, hence the array representation and ``searchsorted`` lookups.
 
 from __future__ import annotations
 
+import math
 import struct
 from hashlib import blake2b
 from typing import Iterable, Sequence
@@ -115,13 +116,25 @@ class StepFunction:
 
         This is the incremental-commit primitive: registering a
         reservation of ``n`` processors is ``with_interval_delta(start,
-        end, -n)`` on the availability profile.  The two new breakpoints
-        are spliced into the existing sorted arrays via ``searchsorted``
-        — one O(k) copy, no re-sort, no event-list rebuild — and the
-        result is re-canonicalized (no zero-jump breakpoints), so it is
-        bit-identical to recompiling the profile from scratch.
+        end, -n)`` on the availability profile, and withdrawing it is
+        the same call with ``+n``.  The endpoints are located by
+        ``searchsorted`` and each output array is written once: the
+        untouched prefix and suffix are copied verbatim, and only the
+        touched run — the ``start`` breakpoint through the ``end``
+        breakpoint — gets the delta and the zero-jump rule (a breakpoint
+        whose value equals the one before it is dropped).  No re-sort,
+        no event-list rebuild.
+
+        Precondition: this function is canonical (no zero-jump
+        breakpoints).  Outside the touched run neither a value nor the
+        value before it changes, so every breakpoint there keeps its
+        jump; the result is then canonical too, and bit-identical to
+        recompiling the profile from the event list.  Every profile a
+        :class:`~repro.calendar.ResourceCalendar` holds is canonical: it
+        comes from :meth:`from_deltas`, from a splice, or from a clamp
+        followed by :meth:`canonical`.
         """
-        if not (np.isfinite(start) and np.isfinite(end)):
+        if not (math.isfinite(start) and math.isfinite(end)):
             raise ValueError(
                 f"interval bounds must be finite, got [{start}, {end})"
             )
@@ -131,45 +144,63 @@ class StepFunction:
             )
         if delta == 0.0:  # lint: ignore[REP004] — exact no-op check; eps would turn real tiny deltas into silent no-ops
             return self
-        t, v = self.times, self.values
-        # Positions of the interval endpoints in the breakpoint array.
-        i0 = int(np.searchsorted(t, start, side="left"))
-        i1 = int(np.searchsorted(t, end, side="left"))
-        # Bitwise breakpoint identity is the contract of the canonical
-        # splice path: a breakpoint is reused only if the float is the
-        # same object value, so repeated add/remove round-trips are exact.
-        need_s = not (i0 < t.size and t[i0] == start)  # lint: ignore[REP004] — bitwise breakpoint identity
-        need_e = not (i1 < t.size and t[i1] == end)  # lint: ignore[REP004] — bitwise breakpoint identity
-        # Value holding just before each endpoint (what an inserted
-        # breakpoint starts from / reverts to).
-        val_before_start = self.base if i0 == 0 else float(v[i0 - 1])
-        val_before_end = self.base if i1 == 0 else float(v[i1 - 1])
-        ins_s = np.array([start]) if need_s else np.empty(0)
-        ins_e = np.array([end]) if need_e else np.empty(0)
-        new_t = np.concatenate([t[:i0], ins_s, t[i0:i1], ins_e, t[i1:]])
-        new_v = np.concatenate(
-            [
-                v[:i0],
-                np.array([val_before_start]) if need_s else np.empty(0),
-                v[i0:i1],
-                np.array([val_before_end]) if need_e else np.empty(0),
-                v[i1:],
-            ]
-        )
-        # Segments covering [start, end): from the `start` breakpoint
-        # (position i0) up to the `end` breakpoint (position i1 + need_s).
-        new_v[i0 : i1 + (1 if need_s else 0)] += delta
-        # Re-canonicalize: drop breakpoints whose value equals the one
-        # before them (the base for the first), e.g. when the delta
-        # happens to cancel an existing jump at an endpoint.
-        keep = np.empty(new_t.size, dtype=bool)
-        keep[0] = new_v[0] != self.base
-        keep[1:] = new_v[1:] != new_v[:-1]
-        if not keep.any():
-            return StepFunction.constant(self.base)
-        # Splice output is sorted and canonical by construction: skip the
-        # constructor's monotonicity re-check.
-        return StepFunction._make(new_t[keep], new_v[keep], self.base)
+        return self.splice(start, end, delta)[0]
+
+    def splice(
+        self, start: float, end: float, delta: float
+    ) -> tuple["StepFunction", float]:
+        """:meth:`with_interval_delta` for finite ``start < end`` and a
+        nonzero ``delta`` (unchecked), plus the least value the result
+        takes on ``[start, end)`` — the only values the splice changed,
+        so a caller that knew the rest was non-negative needs no other
+        scan to know the whole result is."""
+        t, v, base = self.times, self.values, self.base
+        n = t.size
+        i0 = int(t.searchsorted(start))
+        i1 = int(t.searchsorted(end))
+        before = base if i0 == 0 else float(v[i0 - 1])
+        # The touched run: the `start` breakpoint through the `end`
+        # breakpoint, as Python lists.  Bitwise breakpoint identity is
+        # the contract of the canonical splice path: a breakpoint is
+        # reused only if the float is the same value, so repeated
+        # add/remove round-trips are exact.
+        run_t = t[i0:i1].tolist()
+        run_v = [x + delta for x in v[i0:i1].tolist()]
+        if not (run_t and run_t[0] == start):  # lint: ignore[REP004] — bitwise breakpoint identity
+            run_t.insert(0, start)
+            run_v.insert(0, before + delta)
+        least = min(run_v)
+        if i1 < n and t[i1] == end:  # lint: ignore[REP004] — bitwise breakpoint identity
+            run_v.append(float(v[i1]))
+            tail = i1 + 1
+        else:
+            # A new `end` breakpoint reverts to the value held before it.
+            run_v.append(base if i1 == 0 else float(v[i1 - 1]))
+            tail = i1
+        run_t.append(end)
+        kept_t: list[float] = []
+        kept_v: list[float] = []
+        last = before
+        for x, y in zip(run_t, run_v):
+            if y != last:
+                kept_t.append(x)
+                kept_v.append(y)
+            last = y
+        k = len(kept_t)
+        size = i0 + k + n - tail
+        if not size:
+            return StepFunction.constant(base), least
+        new_t = np.empty(size)
+        new_v = np.empty(size)
+        new_t[:i0] = t[:i0]
+        new_v[:i0] = v[:i0]
+        new_t[i0 : i0 + k] = kept_t
+        new_v[i0 : i0 + k] = kept_v
+        new_t[i0 + k :] = t[tail:]
+        new_v[i0 + k :] = v[tail:]
+        # Sorted and canonical by construction: skip the constructor's
+        # monotonicity re-check.
+        return StepFunction._make(new_t, new_v, base), least
 
     def canonical(self) -> "StepFunction":
         """This function with zero-jump breakpoints dropped.

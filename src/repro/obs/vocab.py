@@ -58,6 +58,7 @@ COUNTERS: frozenset[str] = frozenset(
         "calendar.query.latest",
         "calendar.query.latest_multi",
         "calendar.remove",
+        "calendar.remove.splice",
         "calendar.validate",
         # -- CPA allocation ----------------------------------------------
         "cpa.allocation_runs",
@@ -90,6 +91,8 @@ COUNTERS: frozenset[str] = frozenset(
         "service.requests",
         "service.resumed",
         "service.revocations",
+        "service.scan.bookings",
+        "service.scan.requests",
         # -- sharded calendar --------------------------------------------
         "shard.aborts",
         "shard.commits",

@@ -8,7 +8,12 @@ robustness layers an online deployment needs:
 * **Admission control** — per-tenant quotas on concurrently active
   requests and booked CPU-hours, the stream's admission window, and
   priority-aware load shedding that degrades batch traffic first while
-  interactive requests keep flowing.
+  interactive requests keep flowing.  The active count, the shedding
+  backlog and each fault's displaceable bookings come from a
+  :class:`~repro.service.ledger.BookingLedger` pruned, as of each
+  arrival, to the requests a decision can still see, so their cost
+  follows the live bookings, not the stream's history.  (The CPU-hours
+  quota still sums over every admitted request of the tenant.)
 * **Optimistic-concurrency commits** — every admission plans against a
   :meth:`~repro.calendar.calendar.ResourceCalendar.copy` of the shared
   calendar and commits by
@@ -64,6 +69,7 @@ from repro.rng import derive_rng
 from repro.schedule import Schedule, TaskPlacement
 from repro.service.config import ServiceConfig
 from repro.service.journal import DeadLetter, DeadLetterLog, ServiceJournal
+from repro.service.ledger import BookingLedger, CommittedRequest
 from repro.shard import ShardedCalendar
 from repro.units import DAY
 from repro.workloads.reservations import ReservationScenario
@@ -228,62 +234,6 @@ def _first_start(schedule: Schedule, arrival: float) -> float:
     return min((p.start for p in schedule.placements), default=arrival)
 
 
-@dataclass
-class _Committed:
-    """Book-keeping for one admitted request's live reservations."""
-
-    request: StreamRequest
-    arrival: float
-    #: The schedule committed at admission.
-    schedule: Schedule
-    #: Sharded services: the shard each placement was committed to at
-    #: admission, in placement order (journaled with the outcome).
-    hosts: Sequence[int] | None = None
-    _reservations: dict[int, Reservation] | None = None
-
-    @property
-    def reservations(self) -> dict[int, Reservation]:
-        """task index -> the task's current calendar reservation.
-
-        Built from the admitted schedule on first use: until a fault,
-        a quota or load shedding looks at a booking, nothing has moved
-        it, and a run with none of them never needs the dict."""
-        if self._reservations is None:
-            graph = self.request.graph
-            self._reservations = {
-                p.task: p.as_reservation(graph.task(p.task).name)
-                for p in self.schedule.placements
-            }
-        return self._reservations
-
-    @property
-    def first_start(self) -> float:
-        """Earliest booked start (``inf`` once everything is revoked)."""
-        return min(
-            (r.start for r in self.reservations.values()),
-            default=float("inf"),
-        )
-
-    @property
-    def last_end(self) -> float:
-        """Latest booked end (``-inf`` once everything is revoked)."""
-        return max(
-            (r.end for r in self.reservations.values()),
-            default=float("-inf"),
-        )
-
-    @property
-    def cpu_hours(self) -> float:
-        """CPU-hours currently booked for this request."""
-        return (
-            sum(
-                (r.end - r.start) * r.nprocs
-                for r in self.reservations.values()
-            )
-            / 3600.0
-        )
-
-
 class ReservationService:
     """Fault-tolerant online admission over one shared calendar.
 
@@ -374,7 +324,9 @@ class ReservationService:
         self._fault_pos = 0
         self._last_offset = 0.0
         # Admitted requests by id, in admission order.
-        self._committed: dict[str, _Committed] = {}
+        self._committed: dict[str, CommittedRequest] = {}
+        # The admitted requests a decision at the current arrival reads.
+        self._ledger = BookingLedger()
         self._outcomes: list[ServiceOutcome] = []
         self._dead_letters: list[DeadLetter] = []
         # The scenario's competing reservations not yet cancelled.
@@ -560,6 +512,7 @@ class ReservationService:
         self._last_offset = offset
         arrival = self._scenario.now + offset
         self._apply_faults_until(arrival)
+        self._ledger.advance(arrival)
         if _obs.ENABLED:
             _obs.incr("service.requests")
         if _tl.ENABLED:
@@ -589,11 +542,7 @@ class ReservationService:
             return self._reject(request, arrival, shed_reason, None)
         quota = cfg.quota_for(request.tenant)
         if quota.max_active is not None:
-            active = sum(
-                1
-                for c in self._committed.values()
-                if c.request.tenant == request.tenant and c.last_end > arrival
-            )
+            active = self._ledger.active(request.tenant, arrival)
             if active >= quota.max_active:
                 return self._reject(
                     request, arrival, "quota-active", None
@@ -728,11 +677,7 @@ class ReservationService:
         threshold = self._config.shed_backlog
         if threshold is None or request.mode != "batch":
             return None
-        depth = sum(
-            1
-            for c in self._committed.values()
-            if c.first_start > arrival and c.reservations
-        )
+        depth = self._ledger.backlog(arrival)
         if depth >= 2 * threshold:
             return "load-shed"
         if depth >= threshold and request.priority != "high":
@@ -832,11 +777,12 @@ class ReservationService:
 
     def _register(
         self, request: StreamRequest, arrival: float, schedule: Schedule
-    ) -> _Committed:
-        committed = _Committed(
+    ) -> CommittedRequest:
+        committed = CommittedRequest(
             request=request, arrival=arrival, schedule=schedule
         )
         self._committed[request.request_id] = committed
+        self._ledger.add(committed)
         return committed
 
     # ------------------------------------------------------------------
@@ -893,12 +839,7 @@ class ReservationService:
         (``shard.rebalances``)."""
         t = fault.time
         cal = self._scheduler.calendar
-        unstarted = [
-            ((rid, task), res)
-            for rid, c in self._committed.items()
-            for task, res in c.reservations.items()
-            if res.start > t
-        ]
+        unstarted = self._ledger.unstarted(t)
         origin: int | None = None
         if isinstance(cal, ShardedCalendar):
             k = origin = idx % cal.n_shards
@@ -925,7 +866,7 @@ class ReservationService:
         self._revocations += len(victims)
         if victims and _obs.ENABLED and not self._restoring:
             _obs.incr("service.revocations", len(victims))
-        for rid in self._committed:
+        for rid in self._ledger.live():
             if rid in revoked:
                 self._rebook(rid, revoked[rid], t, origin_shard=origin)
 
@@ -993,7 +934,7 @@ class ReservationService:
 
     @staticmethod
     def _pred_floor(
-        creq: _Committed, graph: TaskGraph, task: int, t: float
+        creq: CommittedRequest, graph: TaskGraph, task: int, t: float
     ) -> float:
         """Earliest instant ``task`` may start: after the fault and
         after every predecessor's current booking ends."""

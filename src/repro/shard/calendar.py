@@ -454,10 +454,20 @@ class ShardedCalendar:
         the window — exactly the shard the probe reduce's
         ``(earliest_start, shard_id)`` tie-break selected, since
         availability only decreases between a probe and its commit.
+
+        Raises:
+            CalendarError: naming the window when it is empty
+                (``start + duration`` vanishes in rounding), or when it
+                fits no shard.
         """
         if len(self._shards) == 1:
             return self._routed(0, start, duration, nprocs, label)
         end = start + duration
+        if not end > start:
+            raise CalendarError(
+                f"placement window [{start}, {end}) is empty; "
+                "start + duration must exceed start"
+            )
         for k, s in enumerate(self._shards):
             if nprocs <= s.capacity and (
                 s.availability().min_over(start, end) >= nprocs

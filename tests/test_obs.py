@@ -556,9 +556,9 @@ class TestDisabledOverhead:
             cal.reserve_known_feasible(100.0 * k, 50.0, 1)
 
         per_commit = _per_call(commit, 300, repeats=1)
-        # Three sites: the VALIDATE_COMMITS branch, the ENABLED branch,
-        # and the guarded incr inside _validated().
-        assert 3 * self._site_cost() < 0.02 * per_commit
+        # One site: the branch on VALIDATE_COMMITS or ENABLED (the
+        # commit's generation bump is counted behind it).
+        assert self._site_cost() < 0.02 * per_commit
 
 
 # ----------------------------------------------------------------------

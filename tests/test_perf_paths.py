@@ -25,7 +25,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import repro.calendar.calendar as calmod
@@ -114,22 +114,30 @@ class TestScalarMultiEquivalence:
 
 
 class TestIncrementalProfile:
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(
         spec=reservation_lists,
-        start=st.integers(-20, 260),
-        dur=st.integers(1, 50),
+        data=st.data(),
         delta=st.integers(-6, 6).filter(lambda x: x != 0),
     )
-    def test_with_interval_delta_equals_rebuild(self, spec, start, dur, delta):
+    def test_with_interval_delta_equals_rebuild(self, spec, data, delta):
         base_events = [(float(s), -float(n)) for s, d, n in spec] + [
             (float(s + d), float(n)) for s, d, n in spec
         ]
         prof = StepFunction.from_deltas(base_events, base=CAPACITY)
-        spliced = prof.with_interval_delta(float(start), float(start + dur), float(delta))
+        # Whole, fractional, or on an existing breakpoint (where the
+        # delta may cancel the jump and drop the breakpoint).
+        bound = st.one_of(
+            st.integers(-20, 260).map(float),
+            st.floats(-20.0, 260.0, allow_nan=False),
+            st.sampled_from(prof.times.tolist() or [0.0]),
+        )
+        a, b = data.draw(bound), data.draw(bound)
+        assume(a != b)
+        start, end = min(a, b), max(a, b)
+        spliced = prof.with_interval_delta(start, end, float(delta))
         rebuilt = StepFunction.from_deltas(
-            base_events
-            + [(float(start), float(delta)), (float(start + dur), -float(delta))],
+            base_events + [(start, float(delta)), (end, -float(delta))],
             base=CAPACITY,
         )
         assert spliced == rebuilt

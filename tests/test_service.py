@@ -17,7 +17,7 @@ from repro.errors import QuotaError, ServiceError
 from repro.experiments.reporting import run_instrumented
 from repro.experiments.stream import StreamRequest, schedule_stream_naive
 from repro.jsonlog import encode_payload
-from repro.obs import SloSeries, chrome_trace_events
+from repro.obs import SloSeries, chrome_trace_events, instrumented
 from repro.obs import timeline as tl
 from repro.resilience.faults import FaultModel
 from repro.rng import make_rng
@@ -866,6 +866,58 @@ class TestObservability:
         assert counters["service.faults.arrival"] >= 1
         assert counters["service.revocations"] >= 1
         assert counters["service.rebooked"] >= 1
+
+    @staticmethod
+    def _scans_per_request(n):
+        """Per-request ``service.scan.*`` counts of a replay shaped like
+        the ``svc_faulted`` workload: quotas, batch shedding, commit
+        latency and arrival/cancel/downtime faults over the test
+        scenario.  Short tasks keep the offered load sustainable, and
+        at 1,800 s spacing both stream lengths used below span more
+        than the one-day floor of the fault horizon, so faults arrive
+        at one rate per request."""
+        graphs = [
+            random_task_graph(
+                DagGenParams(n=5, max_seq_time=1800.0), make_rng(100 + i)
+            )
+            for i in range(3)
+        ]
+        reqs = [
+            StreamRequest(
+                request_id=f"q{k}",
+                arrival_offset=k * 1800.0,
+                graph=graphs[k % 3],
+                mode="batch" if k % 5 < 3 else "interactive",
+                tenant=f"t{k % 4}",
+            )
+            for k in range(n)
+        ]
+        config = ServiceConfig(
+            default_quota=TenantQuota(max_active=2),
+            shed_backlog=2,
+            commit_latency=300.0,
+        )
+        with instrumented() as col:
+            report = ReservationService(
+                _scenario(),
+                config=config,
+                fault_model=FaultModel.from_rate(24.0),
+                seed=FAULTED["seed"],
+            ).run(reqs)
+        assert report.revocations > 0
+        return {
+            name: col.counters[name] / n
+            for name in ("service.scan.requests", "service.scan.bookings")
+        }
+
+    def test_scans_per_request_flat_from_n_to_2n(self):
+        """The booking ledger keeps admission and fault scans to the
+        live bookings: doubling the stream may not grow the scans per
+        request (without pruning they grow about 2x)."""
+        small = self._scans_per_request(150)
+        large = self._scans_per_request(300)
+        for name, per_request in small.items():
+            assert large[name] <= 1.25 * per_request, (name, small, large)
 
     def test_summary_is_json_ready(self):
         report = ReservationService(_scenario(), **FAULTED).run(_requests(5))

@@ -129,6 +129,14 @@ class TestPartition:
         with pytest.raises(CalendarError, match=r"\[5\.0, 5\.0\)"):
             sharded.min_available(5.0, 5.0)
 
+    def test_commit_names_an_empty_window(self):
+        # 1e20 + 1.0 rounds back to 1e20: the routing loop must not
+        # reach min_over with an empty window.
+        sharded = ShardedCalendar.partition(4, [], n_shards=2)
+        with pytest.raises(CalendarError, match=r"\[1e\+20, 1e\+20\)"):
+            sharded.reserve_known_feasible(1e20, 1.0, 1)
+        assert sharded.reservations == ()
+
     def test_overflow_raises_and_mutates_nothing(self):
         sharded = ShardedCalendar.partition(8, (), n_shards=4)
         sharded.add(Reservation(start=0.0, end=100.0, nprocs=6, label="a"))

@@ -193,17 +193,27 @@ def _seed_earliest_starts_multi(
         j += 1
 
 
-#: The live :meth:`ResourceCalendar.add`, kept for :func:`_seed_add`
-#: (inside :func:`seed_baseline` the class attribute is the seed copy).
-_live_add = ResourceCalendar.add
-
-
 def _seed_add(self, reservation: Reservation) -> None:
-    """The seed's ``add``: every commit drops the compiled profile and
-    recompiles (on strict calendars, re-validates) it from the full
-    event list."""
+    """The seed's ``add``: every commit drops the compiled profile, and a
+    strict calendar recompiles (re-validates) it from the full event
+    list at once, rolling the reservation back if that raises."""
+    if reservation.nprocs > self._capacity:
+        raise CalendarError(
+            f"reservation needs {reservation.nprocs} processors but the "
+            f"platform has only {self._capacity}"
+        )
+    self._reservations.append(reservation)
     self._profile = None
-    _live_add(self, reservation)
+    self._invalidate_caches()
+    if not self._clamp:
+        try:
+            self.availability()
+        except CalendarError:
+            self._reservations.pop()
+            self._profile = None
+            raise CalendarError(
+                f"adding reservation {reservation} would exceed capacity"
+            ) from None
 
 
 def _seed_reserve_known_feasible(

@@ -23,9 +23,9 @@ questions every scheduler in this library asks:
 The availability profile ``capacity − occupancy`` is compiled lazily into
 a :class:`StepFunction` and then maintained **incrementally**: committing
 a reservation splices it into the compiled profile
-(:meth:`StepFunction.splice`: one copy of each array, with the delta,
-the zero-jump rule and the negative-residue check applied only to the
-breakpoints the reservation covers) instead of invalidating it and
+(:meth:`StepFunction.splice`: one copy of each array, with the delta
+and the zero-jump rule applied only to the breakpoints the reservation
+covers) instead of invalidating it and
 paying a full O(R log R) recompile on the next query.  :meth:`remove`
 is the inverse splice while the profile is *exact* — nothing clamped
 since it was compiled, so it is the exact integer sum of the
@@ -33,20 +33,21 @@ reservations' deltas — and drops the profile for a recompile otherwise.
 Placement queries are NumPy computations over the profile's
 ``times``/``values`` arrays.
 
-Schedulers committing placements that came out of this calendar's own
-placement queries should use :meth:`reserve_known_feasible`, which skips
-the strict capacity re-validation (the query already proved the window
-free).  Externally supplied reservations go through :meth:`add`/:meth:`reserve`
-and keep the full check.  Setting the environment variable
-``REPRO_VALIDATE_COMMITS=1`` (or :data:`VALIDATE_COMMITS`) re-enables
-full validation everywhere — the debug mode for chasing an infeasible
-schedule back to the commit that caused it.
+Every booking takes one checked rule, whether it is an externally
+supplied reservation (:meth:`add`, :meth:`reserve`) or a placement that
+came out of this calendar's own queries (:meth:`reserve_known_feasible`).
+The splice also returns the least value on the breakpoints it touched;
+every profile a calendar holds is non-negative, so that one comparison
+proves the result is too.  Only a booking that drives the touched run
+negative pays for the capacity policy a compile applies: a strict
+calendar refuses a real over-subscription and leaves itself unchanged,
+and clamps floating-point residue no longer than the time tolerance; a
+clamping calendar clamps.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -69,14 +70,6 @@ _WALK_WINDOW: int = 32
 #: earliest start and completion; pruned ones (``exact`` False) carry a
 #: lower bound on each, which already ruled the count out.
 ProbedCount = tuple[int, float, float, bool]
-
-#: Debug flag: when True, :meth:`reserve_known_feasible` behaves exactly
-#: like :meth:`reserve` (full strict validation of every commit).
-VALIDATE_COMMITS: bool = os.environ.get("REPRO_VALIDATE_COMMITS", "") not in (
-    "",
-    "0",
-)
-
 
 #: An earliest-completion request sorted for the kernel:
 #: ``(order, lower, durations)`` — count indices by ascending lower-bound
@@ -229,128 +222,84 @@ class ResourceCalendar:
         self._invalidate_caches()
 
     def add(self, reservation: Reservation) -> None:
-        """Register a reservation.
-
-        When the availability profile is already compiled the
-        reservation is spliced into it in O(segments); the strict
-        capacity check then reads the spliced profile's minimum instead
-        of recompiling from scratch.
+        """Register a reservation by the calendar's one booking rule
+        (:meth:`_book`).
 
         Raises:
             CalendarError: if the reservation alone exceeds capacity, or —
                 in strict mode — if total occupancy would exceed capacity
-                at any instant.
+                at any instant.  A refused add leaves the calendar
+                unchanged.
         """
-        if reservation.nprocs > self._capacity:
-            raise CalendarError(
-                f"reservation needs {reservation.nprocs} processors but the "
-                f"platform has only {self._capacity}"
-            )
-        if self._profile is not None:
-            if _obs.ENABLED:
-                _obs.incr("calendar.add.splice")
-            spliced = self._profile.with_interval_delta(
-                reservation.start, reservation.end, -float(reservation.nprocs)
-            )
-            try:
-                validated = self._validated(spliced)
-            except CalendarError:
-                # Nothing was mutated: a failed add leaves the calendar
-                # unchanged.
-                raise CalendarError(
-                    f"adding reservation {reservation} would exceed capacity"
-                ) from None
-            self._reservations.append(reservation)
-            self._profile = validated
-            self._exact = self._exact and validated is spliced
-            self._invalidate_caches()
-            return
+        self._book(reservation)
         if _obs.ENABLED:
-            _obs.incr("calendar.add.rebuild")
-        self._reservations.append(reservation)
-        self._profile = None
-        self._invalidate_caches()
-        if not self._clamp:
-            # Strict capacity check: recompiling the profile raises on any
-            # real violation (micro-violations shorter than the time
-            # tolerance are forgiven — see availability()).  Roll back so
-            # a failed add leaves the calendar unchanged.
-            try:
-                self.availability()
-            except CalendarError:
-                self._reservations.pop()
-                self._profile = None
-                raise CalendarError(
-                    f"adding reservation {reservation} would exceed capacity"
-                ) from None
+            _obs.incr("calendar.add.splice")
+            # The new generation _book started.
+            _obs.incr("cache.calendar.invalidate")
 
     def reserve_known_feasible(
         self, start: float, duration: float, nprocs: int, label: str = ""
     ) -> Reservation:
         """Commit a placement this calendar's own placement queries
-        returned, skipping the strict capacity re-validation.
+        returned.
 
-        The placement queries only report windows with ``nprocs``
-        processors free, so re-checking on commit is redundant work; this
-        fast path splices the reservation straight into the compiled
-        profile.  Sub-tolerance negative residue (a backward scheduler's
-        ``(end − d) + d`` landing one ulp past ``end``) is clamped exactly
-        as the full validation would.  Under :data:`VALIDATE_COMMITS`
-        this delegates to :meth:`reserve` (full validation) instead.
-
-        Only hand this method placements derived from this calendar's
-        *current* state; externally supplied reservations must go through
-        :meth:`add`.
+        The booking rule is :meth:`add`'s (:meth:`_book`): a placement
+        the queries reported free splices in after one comparison, and
+        sub-tolerance negative residue (a backward scheduler's
+        ``(end − d) + d`` landing one ulp past ``end``) is clamped as a
+        compile would clamp it.  A placement that over-subscribes a
+        strict calendar was not derived from its current state; it
+        raises :class:`~repro.errors.CalendarError` and leaves the
+        calendar unchanged.
         """
-        if VALIDATE_COMMITS or _obs.ENABLED:
-            # One branch on the bare commit path: re-validation and
-            # instrumentation both take the slow path.
-            return self._observed_commit(start, duration, nprocs, label)
-        return self._splice_commit(start, duration, nprocs, label)
-
-    def _observed_commit(
-        self, start: float, duration: float, nprocs: int, label: str
-    ) -> Reservation:
-        """:meth:`reserve_known_feasible` under :data:`VALIDATE_COMMITS`
-        or with :mod:`repro.obs` enabled."""
-        if VALIDATE_COMMITS:
-            if _obs.ENABLED:
-                _obs.incr("calendar.commit.validated")
-            return self.reserve(start, duration, nprocs, label=label)
+        r = Reservation(start=start, end=start + duration, nprocs=nprocs, label=label)
         if _obs.ENABLED:
+            # One branch on the bare commit path.
             with _obs.span("calendar.commit"):
+                self._book(r)
                 _obs.incr("calendar.commit.splice")
-                # The new generation _splice_commit starts.
+                # The new generation _book started.
                 _obs.incr("cache.calendar.invalidate")
-                return self._splice_commit(start, duration, nprocs, label)
-        return self._splice_commit(start, duration, nprocs, label)
+        else:
+            self._book(r)
+        return r
 
-    def _splice_commit(
-        self, start: float, duration: float, nprocs: int, label: str
-    ) -> Reservation:
-        """The :meth:`reserve_known_feasible` fast path proper.
+    def _book(self, r: Reservation) -> None:
+        """The one booking rule behind :meth:`add`, :meth:`reserve` and
+        :meth:`reserve_known_feasible`: splice ``r`` into the compiled
+        profile.
 
-        Only the spliced range is checked for negative residue: every
-        profile a calendar holds is non-negative (compiles and clamps
-        make it so, and removes only raise values), and the splice
-        leaves the values outside ``[start, end)`` as they were.
+        Every profile a calendar holds is non-negative (compiles and
+        clamps make it so, and removes only raise values), and the
+        splice changes values only on ``[r.start, r.end)`` and returns
+        the least of them.  So at ``least >= 0`` the spliced profile is
+        the one a compile of the reservations plus ``r`` gives, and only
+        below 0 does the capacity policy (:meth:`_validated`) run: a
+        strict calendar raises on a real violation and clamps residue,
+        a clamping calendar clamps.  A dropped profile is compiled
+        first; subtracting ``r.nprocs`` commutes with clamping at 0, so
+        the result is the same arrays as a compile that includes ``r``.
         """
-        r = Reservation(
-            start=start, end=start + duration, nprocs=nprocs, label=label
+        if r.nprocs > self._capacity:
+            raise CalendarError(
+                f"reservation needs {r.nprocs} processors but the "
+                f"platform has only {self._capacity}"
+            )
+        spliced, least = self.availability().splice(
+            r.start, r.end, -float(r.nprocs)
         )
-        prof = self.availability()
-        spliced, least = prof.splice(r.start, r.end, -float(r.nprocs))
         if least < 0:
-            # Feasible placements can only go negative by floating-point
-            # residue; clamp it like the strict path does so the profile
-            # stays bitwise identical to a full recompile.
-            spliced = spliced.map(lambda v: np.maximum(v, 0.0)).canonical()
+            try:
+                spliced = self._validated(spliced)
+            except CalendarError:
+                raise CalendarError(
+                    f"adding reservation {r} would exceed capacity"
+                ) from None
             self._exact = False
         self._reservations.append(r)
         self._profile = spliced
-        # _invalidate_caches() without its counter (the caller counts).
+        # _invalidate_caches() without its counter (the callers count).
         self._generation += 1
-        return r
 
     def copy(self) -> "ResourceCalendar":
         """Independent copy (used for tentative scheduling).

@@ -16,7 +16,6 @@ scheduler, hence the array representation and ``searchsorted`` lookups.
 
 from __future__ import annotations
 
-import math
 import struct
 from hashlib import blake2b
 from typing import Iterable, Sequence
@@ -109,23 +108,28 @@ class StepFunction:
             return cls.constant(base)
         return cls(uniq[keep], values[keep], base=base)
 
-    def with_interval_delta(
+    def splice(
         self, start: float, end: float, delta: float
-    ) -> "StepFunction":
-        """Copy of this function with ``delta`` added on ``[start, end)``.
+    ) -> tuple["StepFunction", float]:
+        """Copy of this function with ``delta`` added on ``[start, end)``,
+        and the least value the copy takes there.
 
         This is the incremental-commit primitive: registering a
-        reservation of ``n`` processors is ``with_interval_delta(start,
-        end, -n)`` on the availability profile, and withdrawing it is
-        the same call with ``+n``.  The endpoints are located by
-        ``searchsorted`` and each output array is written once: the
-        untouched prefix and suffix are copied verbatim, and only the
-        touched run — the ``start`` breakpoint through the ``end``
-        breakpoint — gets the delta and the zero-jump rule (a breakpoint
-        whose value equals the one before it is dropped).  No re-sort,
-        no event-list rebuild.
+        reservation of ``n`` processors splices ``-n`` into the
+        availability profile, and withdrawing it splices ``+n``.  The
+        endpoints are located by ``searchsorted`` and each output array
+        is written once: the untouched prefix and suffix are copied
+        verbatim, and only the touched run — the ``start`` breakpoint
+        through the ``end`` breakpoint — gets the delta and the
+        zero-jump rule (a breakpoint whose value equals the one before
+        it is dropped).  No re-sort, no event-list rebuild.  Those are
+        the only values the splice changes, so a caller that knew the
+        rest was non-negative needs no other scan to know the whole
+        result is.
 
-        Precondition: this function is canonical (no zero-jump
+        Preconditions, unchecked: ``start < end``, both finite (a
+        :class:`~repro.calendar.Reservation` refuses any other window),
+        a nonzero ``delta``, and a canonical function (no zero-jump
         breakpoints).  Outside the touched run neither a value nor the
         value before it changes, so every breakpoint there keeps its
         jump; the result is then canonical too, and bit-identical to
@@ -134,26 +138,6 @@ class StepFunction:
         comes from :meth:`from_deltas`, from a splice, or from a clamp
         followed by :meth:`canonical`.
         """
-        if not (math.isfinite(start) and math.isfinite(end)):
-            raise ValueError(
-                f"interval bounds must be finite, got [{start}, {end})"
-            )
-        if not end > start:
-            raise ValueError(
-                f"interval must have positive length, got [{start}, {end})"
-            )
-        if delta == 0.0:  # lint: ignore[REP004] — exact no-op check; eps would turn real tiny deltas into silent no-ops
-            return self
-        return self.splice(start, end, delta)[0]
-
-    def splice(
-        self, start: float, end: float, delta: float
-    ) -> tuple["StepFunction", float]:
-        """:meth:`with_interval_delta` for finite ``start < end`` and a
-        nonzero ``delta`` (unchecked), plus the least value the result
-        takes on ``[start, end)`` — the only values the splice changed,
-        so a caller that knew the rest was non-negative needs no other
-        scan to know the whole result is."""
         t, v, base = self.times, self.values, self.base
         n = t.size
         i0 = int(t.searchsorted(start))

@@ -295,7 +295,7 @@ def _schedule_backward(
             _obs.decision(rec)
             prov.append(rec)
         # Placements come from this calendar's own latest/earliest
-        # queries; skip the redundant strict re-validation on commit.
+        # queries, so the commit's capacity check is one comparison.
         cal.reserve_known_feasible(start, dur, m, label=graph.task(i).name)
         placements[i] = TaskPlacement(task=i, start=start, nprocs=m, duration=dur)
         unscheduled.discard(i)

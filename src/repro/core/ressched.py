@@ -249,10 +249,10 @@ def _place_task(
 ) -> tuple[float, int, float]:
     """Place task ``i`` at its earliest completion and book it.
 
-    One earliest-completion query, then a fast-path commit: the
-    placement came out of this calendar's own query, so the strict
-    capacity re-validation is skipped.  With ``prov`` (obs enabled when
-    the schedule started) the decision record is appended to it.
+    One earliest-completion query, then a commit: the placement came
+    out of this calendar's own query, so the commit's capacity check is
+    one comparison.  With ``prov`` (obs enabled when the schedule
+    started) the decision record is appended to it.
 
     Returns:
         ``(start, nprocs, duration)`` of the committed placement.

@@ -46,10 +46,8 @@ COUNTERS: frozenset[str] = frozenset(
         "cache.alloc.miss",
         "cache.calendar.invalidate",
         # -- calendar hot path -------------------------------------------
-        "calendar.add.rebuild",
         "calendar.add.splice",
         "calendar.commit.splice",
-        "calendar.commit.validated",
         "calendar.completion.escalations",
         "calendar.completion.pruned",
         "calendar.query.earliest",

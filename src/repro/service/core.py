@@ -957,7 +957,8 @@ class ReservationService:
         Raises:
             ServiceError: Naming the file and line of the first record
                 that is neither the trace's next fault nor an outcome
-                for the stream's next request.
+                for the stream's next request, or whose placements the
+                calendar refuses (:meth:`_replay_commits`).
         """
         journal = self._journal
         assert journal is not None
@@ -1003,7 +1004,7 @@ class ReservationService:
                             f"{outcome.request.request_id!r}, but the "
                             f"stream's next request is {expected!r}"
                         )
-                    self._replay_outcome(outcome, rec.get("shards"))
+                    self._replay_outcome(outcome, rec.get("shards"), where)
                 else:
                     raise ServiceError(
                         f"{where}: unknown record type {kind!r}"
@@ -1014,32 +1015,18 @@ class ReservationService:
             _obs.incr("service.resumed", self._done)
 
     def _replay_outcome(
-        self, outcome: ServiceOutcome, hosts: list[int] | None
+        self, outcome: ServiceOutcome, hosts: list[int] | None, where: str
     ) -> None:
         """Re-apply one checkpointed disposition without recomputing
-        it: admissions re-commit their placements, quarantines re-enter
-        the dead-letter list (the on-disk log already has them).
-
-        A sharded admission re-commits each placement into the shard
-        the journal says hosted it, with a strict commit: routing it
-        afresh could pick another shard, because the original commit
-        ran in the engine's order on a staged copy.
-        """
+        it: admissions re-commit their placements
+        (:meth:`_replay_commits`), quarantines re-enter the dead-letter
+        list (the on-disk log already has them)."""
         request = outcome.request
         self._last_offset = float(request.arrival_offset)
         if outcome.admitted and outcome.schedule is not None:
-            cal = self._scheduler.calendar
-            placements = outcome.schedule.placements
-            if isinstance(cal, ShardedCalendar):
-                self._replay_sharded(request, placements, hosts, cal)
-            else:
-                for p in placements:
-                    cal.reserve_known_feasible(
-                        p.start,
-                        p.duration,
-                        p.nprocs,
-                        label=request.graph.task(p.task).name,
-                    )
+            self._replay_commits(
+                request, outcome.schedule.placements, hosts, where
+            )
             self._register(request, outcome.arrival, outcome.schedule)
         elif outcome.status == "dead-letter":
             self._dead_letters.append(
@@ -1054,39 +1041,63 @@ class ReservationService:
         self._outcomes.append(outcome)
         self._done += 1
 
-    @staticmethod
-    def _replay_sharded(
+    def _replay_commits(
+        self,
         request: StreamRequest,
         placements: Sequence[TaskPlacement],
         hosts: list[int] | None,
-        cal: ShardedCalendar,
+        where: str,
     ) -> None:
-        """Strictly re-commit a journaled sharded admission into its
-        recorded hosting shards; a journal that disagrees with the
-        calendar raises instead of over-booking a shard."""
+        """Re-commit a journaled admission's placements by the
+        calendar's one booking rule, so a journal that over-books the
+        platform raises instead of being replayed.
+
+        A sharded admission re-commits each placement into the shard
+        the journal says hosted it: routing it afresh could pick another
+        shard, because the original commit ran in the engine's order on
+        a staged copy.
+
+        Raises:
+            ServiceError: Naming ``where`` (the record's file and line),
+                the request and the task — and for a sharded service the
+                shard — of a placement the calendar refuses, or a
+                sharded record whose hosting shards do not fit its
+                placements or the calendar.
+        """
+        cal = self._scheduler.calendar
         rid = request.request_id
-        if hosts is None or len(hosts) != len(placements):
-            raise ServiceError(
-                f"journal outcome {rid!r} records "
-                f"{'no' if hosts is None else len(hosts)} hosting shards "
-                f"for {len(placements)} placements"
-            )
-        for p, k in zip(placements, hosts):
-            if not (isinstance(k, int) and 0 <= k < cal.n_shards):
+        if isinstance(cal, ShardedCalendar):
+            if hosts is None or len(hosts) != len(placements):
                 raise ServiceError(
-                    f"journal outcome {rid!r} places task {p.task} on "
-                    f"shard {k!r}; the calendar has {cal.n_shards} shards"
+                    f"{where}: journal outcome {rid!r} records "
+                    f"{'no' if hosts is None else len(hosts)} hosting "
+                    f"shards for {len(placements)} placements"
                 )
+            for p, k in zip(placements, hosts):
+                if not (isinstance(k, int) and 0 <= k < cal.n_shards):
+                    raise ServiceError(
+                        f"{where}: journal outcome {rid!r} places task "
+                        f"{p.task} on shard {k!r}; the calendar has "
+                        f"{cal.n_shards} shards"
+                    )
+            commits = [
+                (f"its recorded shard {k}", partial(cal.reserve_in, k))
+                for k in hosts
+            ]
+        else:
+            commits = [("the calendar", cal.reserve_known_feasible)] * len(
+                placements
+            )
+        for p, (host, commit) in zip(placements, commits):
             try:
-                cal.reserve_in(
-                    k,
+                commit(
                     p.start,
                     p.duration,
                     p.nprocs,
-                    label=request.graph.task(p.task).name,
+                    request.graph.task(p.task).name,
                 )
             except CalendarError as exc:
                 raise ServiceError(
-                    f"journal outcome {rid!r}: task {p.task} does not fit "
-                    f"its recorded shard {k}: {exc}"
+                    f"{where}: journal outcome {rid!r}: task {p.task} does "
+                    f"not fit {host}: {exc}"
                 ) from None

@@ -257,7 +257,8 @@ class ShardedCalendar:
 
     def hosts(self, reservations: Iterable[Reservation]) -> list[int]:
         """The shard each of ``reservations`` was committed to on this
-        staged copy by :meth:`reserve_known_feasible`.
+        staged copy by :meth:`reserve_known_feasible` or
+        :meth:`reserve_in`.
 
         Matched by value; value-equal twins take their shards in commit
         order.  The service journals these ids so that a resumed run
@@ -472,9 +473,7 @@ class ShardedCalendar:
             if nprocs <= s.capacity and (
                 s.availability().min_over(start, end) >= nprocs
             ):
-                if _obs.ENABLED:
-                    _obs.incr("shard.commits")
-                return self._routed(k, start, duration, nprocs, label)
+                return self.reserve_in(k, start, duration, nprocs, label)
         raise CalendarError(
             f"placement [{start}, {end}) x{nprocs} fits no shard — it was "
             "not derived from this calendar's current state"
@@ -483,7 +482,9 @@ class ShardedCalendar:
     def _routed(
         self, k: int, start: float, duration: float, nprocs: int, label: str
     ) -> Reservation:
-        """Known-feasible commit into shard ``k``, the routing target."""
+        """Commit into shard ``k`` by the shard calendar's one booking
+        rule, and record the shard as touched, as the last commit's host
+        and, on a staged copy, as the reservation's host."""
         r = self._shards[k].reserve_known_feasible(
             start, duration, nprocs, label
         )
@@ -501,11 +502,14 @@ class ShardedCalendar:
         nprocs: int,
         label: str = "",
     ) -> Reservation:
-        """Strict ``reserve`` routed to an explicit shard (multi-cluster
-        commits, where the caller's reduce already picked the shard)."""
-        r = self._shards[shard].reserve(start, duration, nprocs, label=label)
-        self._touched.add(shard)
-        self._last_commit_shard = shard
+        """Commit into an explicit shard: multi-cluster commits, where
+        the caller's reduce already picked the shard, and a resumed
+        service's journaled placements.
+
+        Raises:
+            CalendarError: if the placement over-subscribes the shard.
+        """
+        r = self._routed(shard, start, duration, nprocs, label)
         if _obs.ENABLED:
             _obs.incr("shard.commits")
         return r

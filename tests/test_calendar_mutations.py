@@ -1,8 +1,9 @@
 """Interleaved calendar mutations against a fresh compile.
 
 ``ResourceCalendar`` keeps its availability profile compiled and
-mutates it in place: ``add`` and ``reserve_known_feasible`` splice a
-reservation in, and ``remove`` splices it back out while the profile is
+mutates it in place: ``add`` and ``reserve_known_feasible`` book a
+reservation by one rule, a splice into the profile (compiled first if
+it was dropped), and ``remove`` splices it back out while the profile is
 exact (nothing clamped since it was compiled), else drops it for a
 recompile.  Whatever the interleaving, on strict and clamped calendars,
 the profile must be bitwise the one ``ResourceCalendar(capacity,
@@ -11,7 +12,11 @@ reservations, clamp=...)`` compiles from scratch.
 Commits may start one ulp before the start the calendar reported, which
 lands a rounding-residue overlap on the reservation before them and
 forces the residue clamp; a clamping calendar also clamps the
-over-subscription of ``add``.  The test tracks when a clamp happened
+over-subscription of ``add``.  An unchecked commit books a drawn window
+that may over-subscribe: it must be refused exactly when a fresh
+compile with it would be, and a refused one must leave the calendar as
+it was.  A remove may skip the profile query after it, so the next
+booking meets a dropped profile.  The test tracks when a clamp happened
 (the unclamped sum of the reservations goes negative) and checks, by
 the ``calendar.remove.splice`` counter, that exactly the removes made
 while the profile was exact took the splice.
@@ -42,8 +47,20 @@ _commits = st.tuples(
     st.integers(1, CAPACITY),  # nprocs
     st.booleans(),  # start one ulp before the reported start
 )
-_removes = st.tuples(st.just("remove"), st.integers(0, 1_000))
-_programs = st.lists(st.one_of(_adds, _commits, _removes), max_size=40)
+_unchecked = st.tuples(
+    st.just("unchecked"),
+    st.integers(0, 120),  # start
+    st.integers(1, 30),  # duration
+    st.integers(1, CAPACITY + 1),  # nprocs, possibly over capacity
+)
+_removes = st.tuples(
+    st.just("remove"),
+    st.integers(0, 1_000),  # which reservation
+    st.booleans(),  # query the profile after the remove
+)
+_programs = st.lists(
+    st.one_of(_adds, _commits, _unchecked, _removes), max_size=40
+)
 
 
 def _unclamped_min(capacity, reservations):
@@ -55,15 +72,42 @@ def _unclamped_min(capacity, reservations):
     return min(prof.values.min(initial=prof.base), prof.base)
 
 
+def _state(cal):
+    """Everything a refused booking must leave as it was."""
+    prof = cal.availability()
+    return (
+        prof.base,
+        prof.times.tobytes(),
+        prof.values.tobytes(),
+        cal.reservations,
+        cal.generation,
+    )
+
+
+def _refused(clamp, reservations):
+    """Whether a fresh compile of ``reservations`` raises."""
+    try:
+        ResourceCalendar(CAPACITY, reservations, clamp=clamp)
+    except CalendarError:
+        return True
+    return False
+
+
 def _run(program, clamp):
-    """Apply ``program``; after every step the profile must equal a
-    fresh compile.  Returns ``(removes expected to splice, counters)``."""
+    """Apply ``program``; after every step (but a remove that skips its
+    query) the profile must equal a fresh compile.  Returns ``(removes
+    expected to splice, counters)``."""
     cal = ResourceCalendar(CAPACITY, clamp=clamp)
-    exact = True
+    exact = True  # the profile is the exact sum of the reservations' deltas
+    dropped = False  # a remove dropped the profile; nothing recompiled it
     expected = 0
     with obs.instrumented() as col:
         for op in program:
             kind = op[0]
+            if kind != "remove" and dropped:
+                # Every op below compiles the dropped profile first.
+                exact = _unclamped_min(CAPACITY, cal.reservations) >= 0
+                dropped = False
             if kind == "add":
                 _, start, dur, nprocs = op
                 try:
@@ -76,15 +120,33 @@ def _run(program, clamp):
                 if early:
                     start = float(np.nextafter(start, -np.inf))
                 cal.reserve_known_feasible(start, float(dur), nprocs)
+            elif kind == "unchecked":
+                _, start, dur, nprocs = op
+                r = Reservation(float(start), float(start + dur), nprocs)
+                refused = _refused(clamp, cal.reservations + (r,))
+                before = _state(cal)
+                try:
+                    cal.reserve_known_feasible(r.start, float(dur), nprocs)
+                except CalendarError:
+                    assert refused
+                    assert _state(cal) == before
+                    continue
+                assert not refused
             else:
                 if not len(cal):
                     continue
-                if exact:
+                if exact and not dropped:
                     expected += 1
+                else:
+                    dropped = True
                 cal.remove(cal.reservations[op[1] % len(cal)])
-                # A dropped profile is recompiled by the query below.
-                exact = exact or _unclamped_min(CAPACITY, cal.reservations) >= 0
-            if kind != "remove":
+                if not op[2]:
+                    continue
+            if dropped:
+                # The query below recompiles the profile.
+                exact = _unclamped_min(CAPACITY, cal.reservations) >= 0
+                dropped = False
+            else:
                 exact = exact and _unclamped_min(CAPACITY, cal.reservations) >= 0
             got = cal.availability()
             want = ResourceCalendar(
@@ -100,14 +162,16 @@ class TestInterleavedMutations:
     @settings(max_examples=200, deadline=None)
     @given(program=_programs, clamp=st.booleans())
     # A commit and its removal: the remove splices.
-    @example(program=[("commit", 10, 5, 2, False), ("remove", 0)], clamp=False)
+    @example(
+        program=[("commit", 10, 5, 2, False), ("remove", 0, True)], clamp=False
+    )
     # A one-ulp-early commit clamps its residue: the remove recompiles.
     @example(
         program=[
             ("add", 0, 10, CAPACITY),
             ("commit", 0, 5, 2, True),
-            ("remove", 1),
-            ("remove", 0),
+            ("remove", 1, True),
+            ("remove", 0, True),
         ],
         clamp=False,
     )
@@ -116,10 +180,32 @@ class TestInterleavedMutations:
         program=[
             ("add", 0, 10, 4),
             ("add", 5, 10, 4),
-            ("remove", 0),
-            ("remove", 0),
+            ("remove", 0, True),
+            ("remove", 0, True),
         ],
         clamp=True,
+    )
+    # Bookings into a dropped profile compile it first: one clamps, ...
+    @example(
+        program=[
+            ("add", 0, 10, 4),
+            ("add", 5, 10, 4),
+            ("remove", 0, False),
+            ("add", 8, 10, 2),
+            ("unchecked", 0, 30, 3),
+        ],
+        clamp=True,
+    )
+    # ... and one over-subscribes a strict calendar and is refused.
+    @example(
+        program=[
+            ("add", 0, 10, CAPACITY),
+            ("commit", 0, 5, 2, True),
+            ("remove", 0, False),
+            ("add", 0, 30, 5),
+            ("unchecked", 0, 30, CAPACITY + 1),
+        ],
+        clamp=False,
     )
     def test_profile_equals_fresh_compile(self, program, clamp):
         expected, counters = _run(program, clamp)
@@ -127,7 +213,7 @@ class TestInterleavedMutations:
 
     def test_remove_splices_while_exact(self):
         expected, counters = _run(
-            [("commit", 10, 5, 2, False), ("add", 12, 4, 3), ("remove", 0)],
+            [("commit", 10, 5, 2, False), ("add", 12, 4, 3), ("remove", 0, True)],
             clamp=False,
         )
         assert expected == 1

@@ -3,26 +3,22 @@
 Covers the collection primitives (spans, counters, histograms, decision
 records), merge associativity and parallel determinism, JSONL trace
 round-trips, RunReport schema validation, scheduler decision provenance,
-the strict-validation commit path, the disabled-mode overhead bound, and
-the new CLI commands.
+the checked commit path, the disabled-mode overhead bound, and the new
+CLI commands.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import subprocess
-import sys
 import time
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro import obs
 from repro.calendar import ResourceCalendar
-from repro.calendar import calendar as calmod
 from repro.cli import main
 from repro.core import schedule_deadline, schedule_ressched
 from repro.errors import CalendarError
@@ -446,56 +442,29 @@ class TestParallelDeterminism:
 
 
 # ----------------------------------------------------------------------
-# Strict-validation commits (REPRO_VALIDATE_COMMITS)
+# Checked commits
 # ----------------------------------------------------------------------
 
 
 class TestValidateCommits:
-    def test_strict_path_validates_and_counts(self, monkeypatch):
-        monkeypatch.setattr(calmod, "VALIDATE_COMMITS", True)
-        cal = ResourceCalendar(8)
-        with obs.instrumented() as col:
-            r = cal.reserve_known_feasible(0.0, 100.0, 4, label="ok")
-        assert r.nprocs == 4 and len(cal.reservations) == 1
-        assert col.counters["calendar.commit.validated"] == 1
-        assert "calendar.commit.splice" not in col.counters
-        assert col.counters["calendar.validate"] >= 1
-
-    def test_strict_path_rejects_infeasible_commit(self, monkeypatch):
-        monkeypatch.setattr(calmod, "VALIDATE_COMMITS", True)
+    def test_strict_path_rejects_infeasible_commit(self):
         cal = ResourceCalendar(8)
         cal.reserve_known_feasible(0.0, 100.0, 4)
-        with pytest.raises(CalendarError):
-            # Only 4 processors free on [0, 100): full validation catches
-            # the bogus "known feasible" claim instead of committing it.
+        with pytest.raises(CalendarError, match="would exceed capacity"):
+            # Only 4 processors free on [50, 100): the commit's check
+            # catches the bogus "known feasible" claim.
             cal.reserve_known_feasible(50.0, 100.0, 8)
-        assert len(cal.reservations) == 1  # failed commit left no trace
+        with pytest.raises(CalendarError, match="platform has only 8"):
+            cal.reserve_known_feasible(200.0, 10.0, 9)
+        assert len(cal.reservations) == 1  # failed commits left no trace
+        assert cal.available_at(60.0) == 4
 
     def test_fast_path_counts_splices(self):
         cal = ResourceCalendar(8)
         with obs.instrumented() as col:
             cal.reserve_known_feasible(0.0, 100.0, 4)
         assert col.counters["calendar.commit.splice"] == 1
-        assert "calendar.commit.validated" not in col.counters
         assert col.spans["calendar.commit"].count == 1
-
-    def test_env_var_enables_the_flag(self):
-        out = subprocess.run(
-            [
-                sys.executable,
-                "-c",
-                "from repro.calendar.calendar import VALIDATE_COMMITS; "
-                "print(VALIDATE_COMMITS)",
-            ],
-            env={
-                "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src"),
-                "REPRO_VALIDATE_COMMITS": "1",
-            },
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-        assert out.stdout.strip() == "True"
 
 
 # ----------------------------------------------------------------------
@@ -556,8 +525,8 @@ class TestDisabledOverhead:
             cal.reserve_known_feasible(100.0 * k, 50.0, 1)
 
         per_commit = _per_call(commit, 300, repeats=1)
-        # One site: the branch on VALIDATE_COMMITS or ENABLED (the
-        # commit's generation bump is counted behind it).
+        # One site: the branch on ENABLED (the commit's generation bump
+        # is counted behind it).
         assert self._site_cost() < 0.02 * per_commit
 
 

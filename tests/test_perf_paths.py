@@ -7,8 +7,8 @@ straightforward computation it replaces.  This file is that contract:
 
 * ``earliest_starts_multi`` / ``latest_starts_multi`` agree with their
   scalar counterparts for **every** processor count (property-based).
-* ``StepFunction.with_interval_delta`` equals an event-list rebuild, and
-  incremental calendar commits equal full recompiles.
+* ``StepFunction.splice`` equals an event-list rebuild, and incremental
+  calendar commits equal full recompiles.
 * The CPA level refresh matches full recomputes through arbitrary
   sequences of up/down weight changes.
 * ``cpa_allocation`` equals the seed's full-recompute loop bit for bit
@@ -28,7 +28,6 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-import repro.calendar.calendar as calmod
 import repro.cpa.allocation as allocmod
 from repro.bench import _seed_cpa_allocation, bench_calendar_commit, seed_baseline
 from repro.calendar import Reservation, ResourceCalendar, StepFunction
@@ -121,6 +120,9 @@ class TestIncrementalProfile:
         delta=st.integers(-6, 6).filter(lambda x: x != 0),
     )
     def test_with_interval_delta_equals_rebuild(self, spec, data, delta):
+        """Adding ``delta`` on ``[start, end)`` by splice equals an
+        event-list rebuild, bitwise, and the least value it returns is
+        the rebuilt profile's minimum on that interval."""
         base_events = [(float(s), -float(n)) for s, d, n in spec] + [
             (float(s + d), float(n)) for s, d, n in spec
         ]
@@ -135,7 +137,7 @@ class TestIncrementalProfile:
         a, b = data.draw(bound), data.draw(bound)
         assume(a != b)
         start, end = min(a, b), max(a, b)
-        spliced = prof.with_interval_delta(start, end, float(delta))
+        spliced, least = prof.splice(start, end, float(delta))
         rebuilt = StepFunction.from_deltas(
             base_events + [(start, float(delta)), (end, -float(delta))],
             base=CAPACITY,
@@ -144,17 +146,7 @@ class TestIncrementalProfile:
         # Bitwise, not just value-wise.
         assert spliced.times.tobytes() == rebuilt.times.tobytes()
         assert spliced.values.tobytes() == rebuilt.values.tobytes()
-
-    def test_with_interval_delta_zero_is_identity(self):
-        prof = StepFunction.from_deltas([(1.0, -2.0), (3.0, 2.0)], base=8.0)
-        assert prof.with_interval_delta(0.0, 5.0, 0.0) is prof
-
-    def test_with_interval_delta_rejects_bad_interval(self):
-        prof = StepFunction.constant(4.0)
-        with pytest.raises(ValueError):
-            prof.with_interval_delta(3.0, 3.0, -1.0)
-        with pytest.raises(ValueError):
-            prof.with_interval_delta(0.0, np.inf, -1.0)
+        assert least == rebuilt.min_over(start, end)
 
     @settings(max_examples=100, deadline=None)
     @given(spec=reservation_lists)
@@ -359,7 +351,7 @@ class TestBenchHarness:
         assert entry["seed_s"] > 0 and entry["incremental_s"] > 0
 
     def test_seed_baseline_restores_everything(self):
-        flags = (calmod.VALIDATE_COMMITS, allocmod.MEMOIZE_ALLOCATIONS)
+        memo = allocmod.MEMOIZE_ALLOCATIONS
         methods = (
             TaskGraph.bottom_levels,
             ResourceCalendar.earliest_starts_multi,
@@ -380,7 +372,7 @@ class TestBenchHarness:
             with pytest.raises(CalendarError):
                 cal.reserve_known_feasible(5.0, 10.0, 2)
             assert len(cal) == 1
-        assert flags == (calmod.VALIDATE_COMMITS, allocmod.MEMOIZE_ALLOCATIONS)
+        assert allocmod.MEMOIZE_ALLOCATIONS is memo
         assert allocmod._cpa_allocation is loop
         assert TaskGraph.bottom_levels is methods[0]
         assert ResourceCalendar.earliest_starts_multi is methods[1]

@@ -4,7 +4,9 @@ determinism, quotas/shedding, and dead-letter quarantine."""
 
 from __future__ import annotations
 
+import base64
 import json
+import pickle
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
@@ -522,6 +524,29 @@ def _payload_not_an_outcome(records):
     return i + 1, "outcome payload holds type 'int', not ServiceOutcome"
 
 
+def _overbooked_placement(records):
+    """The first admission with its task 0 on every processor: the
+    placement over-books the platform where another booking runs."""
+    for i, rec in enumerate(records):
+        if rec.get("type") != "outcome":
+            continue
+        outcome = pickle.loads(base64.b64decode(rec["payload"]["data"]))
+        if outcome.admitted:
+            break
+    sched = outcome.schedule
+    first = replace(sched.placements[0], nprocs=_scenario().capacity)
+    records[i]["payload"] = encode_payload(
+        replace(
+            outcome,
+            schedule=replace(
+                sched, placements=(first,) + sched.placements[1:]
+            ),
+        )
+    )
+    rid = outcome.request.request_id
+    return i + 1, f"journal outcome {rid!r}: task 0 does not fit the calendar"
+
+
 class TestMalformedJournal:
     """A journal line that decodes but is not the record the restore
     expects is refused with the file and line, before any request."""
@@ -540,6 +565,7 @@ class TestMalformedJournal:
             _payload_not_an_object,
             _payload_not_a_pickle,
             _payload_not_an_outcome,
+            _overbooked_placement,
         ],
     )
     def test_refused_naming_file_and_line(self, tmp_path, corrupt):

@@ -414,8 +414,9 @@ class TestShardedResume:
             "".join(json.dumps(rec) + "\n" for rec in records),
             encoding="utf-8",
         )
-        with pytest.raises(ServiceError, match=match):
+        with pytest.raises(ServiceError, match=match) as info:
             service().run(_requests(12))
+        assert "svc.jsonl: line" in str(info.value)
 
 
 class TestProbePool:
